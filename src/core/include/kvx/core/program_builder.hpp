@@ -17,7 +17,9 @@
 // and is assembled into a Program image on construction.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "kvx/asm/assembler.hpp"
 
@@ -39,6 +41,14 @@ enum class Arch {
 
 /// Human-readable name of an architecture variant.
 [[nodiscard]] std::string_view arch_name(Arch arch) noexcept;
+
+/// Parse a CLI architecture name ("64lmul1", "64lmul8", "32lmul8",
+/// "64fused"); nullopt for anything else.
+[[nodiscard]] std::optional<Arch> parse_arch(std::string_view name) noexcept;
+
+/// Names parse_arch accepts, for CLI usage and error messages.
+inline constexpr std::string_view kArchNamesHelp =
+    "64lmul1|64lmul8|32lmul8|64fused";
 
 /// ELEN (bits) of a variant.
 [[nodiscard]] constexpr unsigned arch_elen(Arch arch) noexcept {

@@ -598,6 +598,14 @@ std::string_view arch_name(Arch arch) noexcept {
   return "?";
 }
 
+std::optional<Arch> parse_arch(std::string_view name) noexcept {
+  if (name == "64lmul1") return Arch::k64Lmul1;
+  if (name == "64lmul8") return Arch::k64Lmul8;
+  if (name == "32lmul8") return Arch::k32Lmul8;
+  if (name == "64fused") return Arch::k64Fused;
+  return std::nullopt;
+}
+
 KeccakProgram build_keccak_program(const ProgramOptions& options) {
   KVX_CHECK_MSG(options.ele_num >= 5, "need at least one Keccak state");
   KVX_CHECK_MSG(options.rounds >= 1 && options.rounds <= 24,

@@ -55,6 +55,8 @@ enum class TraceOpKind : u8 {
   kStoreUnit,     ///< contiguous regfile -> dmem copy
   kLoadGather,    ///< per-element resolved addresses (strided/indexed)
   kStoreScatter,  ///< per-element resolved addresses
+  kLoadStrided,   ///< gather whose resolved addresses have a constant stride
+  kStoreStrided,  ///< scatter whose resolved addresses have a constant stride
   kScalarStore,   ///< sb/sh/sw with resolved address and value
   kSlideMod5,     ///< vslideupm/vslidedownm, one row
   kRotup64,       ///< vrotup.vi, one row
@@ -79,6 +81,9 @@ enum class TraceBinOp : u8 { kXor, kAnd, kOr, kAdd, kSub, kSll, kSrl };
 ///
 /// `aux` is overloaded by kind:
 ///  * kLoadUnit/kStoreUnit/kScalarStore — resolved data-memory address;
+///  * kLoadStrided/kStoreStrided        — address of element 0 (`imm` holds
+///    the byte stride, `n` the element count; register elements are
+///    contiguous from `d`);
 ///  * kLoadGather/kStoreScatter         — first index into gather_elems_;
 ///  * kGeneric                          — index into generic_ops_;
 ///  * kBinVS/kSplat/kIota               — index into the wide_imms_ pool
@@ -97,7 +102,8 @@ struct TraceOp {
   u32 b = 0;          ///< second source byte offset
   u32 n = 0;          ///< element count (copies/unit mem: byte count)
   u32 aux = 0;        ///< overloaded per kind, see above
-  i32 imm = 0;        ///< slide offset / rotation amount / scalar-store value
+  i32 imm = 0;        ///< slide offset / rotation amount / scalar-store value /
+                      ///< memory stride
 
   friend bool operator==(const TraceOp&, const TraceOp&) noexcept = default;
 };
@@ -254,7 +260,7 @@ class TraceCache {
   /// Cached lower_host_simd(fuse_trace(compile_trace())). Shares the fused
   /// artifact (and through it the recording) with the lower tiers; the
   /// host-SIMD plan is keyed under its own salt, and lowering rejections
-  /// (nothing lowerable, e.g. 32-bit split arches) are cached negatively
+  /// (nothing lowerable, e.g. the pure-RVV ablation) are cached negatively
   /// like compile rejections. Throws kvx::SimError on rejection — callers
   /// demote to the fused tier.
   [[nodiscard]] std::shared_ptr<const HostSimdTrace> get_or_compile_host_simd(

@@ -4,9 +4,9 @@
 // into θ/ρπ/χι step-level super-kernels, but still executes them one regfile
 // row at a time through GCC vector extensions sized by the SIMULATED
 // register width. This backend takes the final step the paper's analysis
-// points at: it lowers maximal RUNS of those matched 64-bit super-kernels
-// directly to the host's own vector ISA and keeps the whole 25-lane Keccak
-// state resident in host registers across entire round sequences.
+// points at: it lowers maximal RUNS of those matched super-kernels directly
+// to the host's own vector ISA and keeps the whole 25-lane Keccak state
+// resident in host registers across entire round sequences.
 //
 // Representation change. The simulator regfile is plane-major: row y holds
 // lane (x, y) of state s at element 5s + x, so one SIMULATED register mixes
@@ -25,15 +25,23 @@
 //   χ+ι  25 a ^ (~b & c) row ops plus one broadcast-XOR round constant
 //        (AVX-512: single-instruction ternarylogic Chi)
 //
+// The 32-bit split-half arch (paper §3.2) keeps each lane as a lo word in
+// one plane set and a hi word in another, and its rounds fuse to the split
+// kernels kTheta32 / kRhoPi32 / kChi32 (the χ pair plus the ι pair, with a
+// joined 64-bit round constant). Those lower to the SAME θ/ρπ/χι kernels:
+// only the segment edges differ. Split pack joins the lo and hi words of
+// each lane into one u64 lane (hi << 32 | lo), split unpack separates them
+// again, so the segment body is identical to a 64-bit one.
+//
 // Whole-plane transposed loads/stores happen only at segment boundaries
 // (absorb/squeeze edges of the lowered run): the plan marks, per segment,
 // the LAST super-kernel that writes each regfile location and materializes
 // exactly those values back, so the register file after execute() is
 // bit-identical to the fused backend's — inter-segment replay ranges (the
 // liveness-demoted final round, the state stores) read exactly what they
-// would have under fused replay. Ops the plan cannot lower (32-bit split
-// arches, short runs, replay ranges) execute through the fused tier's own
-// kernels, so the backend is correct on arbitrary programs.
+// would have under fused replay. Ops the plan cannot lower (short runs,
+// replay ranges) execute through the fused tier's own kernels, so the
+// backend is correct on arbitrary programs.
 //
 // The host ISA is picked once per process by CPUID at dispatch time
 // (AVX-512F → AVX2 → portable → scalar), overridable with the
@@ -110,6 +118,18 @@ void host_simd_pack(const u8* file, u32 loc, u32 rb, u32 sn, u32 s0, u32 pack,
 void host_simd_unpack(u8* file, u32 loc, u32 rb, u32 sn, u32 s0, u32 pack,
                       const u64* buf) noexcept;
 
+/// Split-half pack (the 32-bit arch): element 5s + x of row y at `lo_loc`
+/// holds the low 32-bit word of lane (x, y) of state s, the same element
+/// at `hi_loc` its high word (rows of `rb` bytes, 4-byte elements). Writes
+/// the joined lanes, hi << 32 | lo, in host_simd_pack's buffer layout.
+void host_simd_pack_split(const u8* file, u32 lo_loc, u32 hi_loc, u32 rb,
+                          u32 sn, u32 s0, u32 pack, u64* buf) noexcept;
+
+/// Inverse of host_simd_pack_split: each packed lane's low word goes to the
+/// `lo_loc` planes, its high word to the `hi_loc` planes.
+void host_simd_unpack_split(u8* file, u32 lo_loc, u32 hi_loc, u32 rb, u32 sn,
+                            u32 s0, u32 pack, const u64* buf) noexcept;
+
 // ---------------------------------------------------------------------------
 // Lowered plan.
 // ---------------------------------------------------------------------------
@@ -124,17 +144,22 @@ struct HostSimdKernel {
   bool iota = false;    ///< χ only: XOR `iota_rc` into lane (0, 0)
   bool unpack = false;  ///< materialize the packed state to `unpack_loc`
   u32 unpack_loc = 0;   ///< regfile byte offset of this kernel's output
+  u32 unpack_loc2 = 0;  ///< split segments: offset of the hi-word planes
   u64 iota_rc = 0;
 };
 
 /// One step of the plan: either a maximal lowered segment (kernel_count > 0,
 /// packed from `pack_loc` at entry) or a single fused op executed through
-/// the fused tier (kernel_count == 0, `fused_index` into fused_ops()).
+/// the fused tier (kernel_count == 0, `fused_index` into fused_ops()). A
+/// split segment packs and unpacks through the lo/hi plane pairs
+/// (`pack_loc`, `pack_loc2`) and (`unpack_loc`, `unpack_loc2`).
 struct HostSimdItem {
   u32 fused_index = 0;
   u32 kernel_first = 0;
   u32 kernel_count = 0;
   u32 pack_loc = 0;
+  u32 pack_loc2 = 0;   ///< split segments: offset of the hi-word planes
+  bool split = false;  ///< 32-bit split-half segment
 };
 
 /// An immutable host-SIMD lowering of a fused trace. Thread-safe to share:
@@ -214,8 +239,8 @@ class HostSimdTrace {
 };
 
 /// Build the host-SIMD plan for `fused`. Throws kvx::SimError when nothing
-/// can be lowered (32-bit split arches, no matched 64-bit kernels) — the
-/// caller demotes to the fused tier per the backend chain.
+/// can be lowered (no matched θ/ρπ/χ super-kernels, e.g. the pure-RVV
+/// ablation) — the caller demotes to the fused tier per the backend chain.
 [[nodiscard]] std::shared_ptr<const HostSimdTrace> lower_host_simd(
     std::shared_ptr<const FusedTrace> fused);
 

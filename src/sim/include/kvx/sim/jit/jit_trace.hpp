@@ -19,6 +19,10 @@
 //                 vector register caller-saved)
 //   literal pool  ι round constants, reached rip-relative by vpbroadcastq
 //
+// A split segment (the 32-bit arch's lo/hi halves, see host_simd.hpp) emits
+// the same round bodies; only its transpose calls differ: the split shims
+// join and separate the lo/hi words, and receive both plane offsets.
+//
 // Plan items the host-SIMD tier could not lower (replay ranges, short runs)
 // call back into the fused tier through an extern "C" shim that traps C++
 // exceptions into the ctx and returns nonzero, which the emitted code turns

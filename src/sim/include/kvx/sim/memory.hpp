@@ -1,8 +1,8 @@
 // Byte-addressable data memory for the simulated processor.
 #pragma once
 
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "kvx/common/types.hpp"
 
@@ -16,7 +16,7 @@ class Memory {
  public:
   explicit Memory(usize size_bytes);
 
-  [[nodiscard]] usize size() const noexcept { return bytes_.size(); }
+  [[nodiscard]] usize size() const noexcept { return size_; }
 
   [[nodiscard]] u8 read8(u32 addr) const;
   [[nodiscard]] u16 read16(u32 addr) const;
@@ -36,13 +36,36 @@ class Memory {
   void write_block(u32 addr, std::span<const u8> data);
   void read_block(u32 addr, std::span<u8> out) const;
 
+  /// Constant-stride element transfer: element i (`width_bytes` wide) lives
+  /// at addr + i·stride and at byte i·width_bytes of the packed `out`/`data`
+  /// span. Elements move in ascending order, like the per-element vector
+  /// LSU path, but the whole address span is bounds- and alignment-checked
+  /// once instead of per element.
+  void read_strided(u32 addr, u32 stride, unsigned width_bytes,
+                    std::span<u8> out) const;
+  void write_strided(u32 addr, u32 stride, unsigned width_bytes,
+                     std::span<const u8> data);
+
   /// Zero all bytes.
   void clear() noexcept;
 
  private:
   void check(u32 addr, usize len, unsigned align) const;
+  /// Span check of a strided transfer; returns the element count.
+  usize check_strided(u32 addr, u32 stride, unsigned width_bytes,
+                      usize bytes) const;
 
-  std::vector<u8> bytes_;
+  struct Release {
+    usize bytes = 0;
+    void operator()(u8* p) const noexcept;
+  };
+  /// Lazily zeroed pages straight from the OS (anonymous mmap where
+  /// available), not a value-initialized heap vector: a processor pays page
+  /// faults only for the bytes its program touches, never a 1 MiB memset
+  /// per construction, and its cost does not depend on how the heap
+  /// happens to be laid out.
+  std::unique_ptr<u8[], Release> bytes_;
+  usize size_ = 0;
 };
 
 }  // namespace kvx::sim

@@ -19,6 +19,7 @@
 //   χ  row-wise 25-record form (LMUL=1)          kChi      (25 records)
 //   χ  5×vchi-row                                kChi      (5 records)
 //   ι  merged into the preceding χ kernel        (+1 record)
+//   χ(lo) + χ(hi) + ι(lo) + ι(hi) (32-bit)       kChi32    (28 records)
 //
 // Super-kernels operate on whole regfile rows (5·SN elements) with host
 // SIMD (GCC/Clang vector extensions + __builtin_shufflevector, pure-scalar
@@ -47,6 +48,8 @@ enum class FusedOpKind : u8 {
   kRhoPi64,      ///< ρ rotate + π scatter, 64-bit planes
   kRhoPi32,      ///< ρ rotate + π scatter, lo/hi 32-bit halves
   kChi,          ///< χ row computation (either element width)
+  kChi32,        ///< χ over the split lo/hi 32-bit halves; ι's 64-bit RC
+                 ///< (hi word << 32 | lo word) when merged
 };
 
 /// FusedOp::flags bit: the following ι record was merged into this χ kernel

@@ -42,6 +42,20 @@ void jit_unpack_shim(JitCtx* ctx, u64* buf, u32 loc, u32 s0) noexcept {
   host_simd_unpack(ctx->file, loc, ctx->rb, ctx->sn, s0, ctx->pack, buf);
 }
 
+/// Split-segment transposes (the 32-bit arch): `locs` is the lo-plane
+/// offset in the low word and the hi-plane offset in the high word.
+void jit_pack_split_shim(JitCtx* ctx, u64* buf, u64 locs, u32 s0) noexcept {
+  host_simd_pack_split(ctx->file, static_cast<u32>(locs),
+                       static_cast<u32>(locs >> 32), ctx->rb, ctx->sn, s0,
+                       ctx->pack, buf);
+}
+
+void jit_unpack_split_shim(JitCtx* ctx, u64* buf, u64 locs, u32 s0) noexcept {
+  host_simd_unpack_split(ctx->file, static_cast<u32>(locs),
+                         static_cast<u32>(locs >> 32), ctx->rb, ctx->sn, s0,
+                         ctx->pack, buf);
+}
+
 /// Execute one unlowered plan item through the fused tier. Returns nonzero
 /// on a C++ exception (captured into ctx->error); the emitted code branches
 /// to the epilogue and execute() rethrows — native frames never unwind.
@@ -95,12 +109,20 @@ RhoPiMap rho_pi_map() {
 constexpr u32 kFrameBytes = 1664;  // 1600 + 64-byte alignment headroom
 constexpr i32 kAvx2BufBytes = 25 * 32;
 
-void emit_shim_call(JitAssembler& a, void (*fn)(JitCtx*, u64*, u32, u32),
-                    i32 buf_off, u32 loc, u32 s0) {
+/// Transpose-shim call: rdi = ctx, rsi = packed-state buffer, rdx = plane
+/// offset (u32; a split segment's lo/hi offsets as one u64 via movabs),
+/// rcx = first state of the pack group.
+template <typename Loc>
+void emit_shim_call(JitAssembler& a, void (*fn)(JitCtx*, u64*, Loc, u32),
+                    i32 buf_off, Loc loc, u32 s0) {
   a.vzeroupper();
   a.mov_rr64(kRdi, kRbx);
   a.lea_rsp_disp32(kRsi, buf_off);
-  a.mov_ri32(kRdx, loc);
+  if constexpr (sizeof(Loc) == 8) {
+    a.mov_ri64(kRdx, loc);
+  } else {
+    a.mov_ri32(kRdx, loc);
+  }
   a.mov_ri32(kRcx, s0);
   a.mov_ri64(kRax, static_cast<u64>(reinterpret_cast<std::uintptr_t>(fn)));
   a.call_rax();
@@ -245,9 +267,27 @@ void emit_function(JitAssembler& a, const HostSimdTrace& hs, HostSimdIsa isa,
       emit_fallback_call(a, it);
       continue;
     }
+    // Split segments differ only in which transposes they call.
+    const auto emit_pack = [&](u32 s0) {
+      if (item.split) {
+        emit_shim_call(a, &jit_pack_split_shim, 0,
+                       (u64{item.pack_loc2} << 32) | item.pack_loc, s0);
+      } else {
+        emit_shim_call(a, &jit_pack_shim, 0, item.pack_loc, s0);
+      }
+    };
+    const auto emit_unpack = [&](const HostSimdKernel& ker, i32 buf_off,
+                                 u32 s0) {
+      if (item.split) {
+        emit_shim_call(a, &jit_unpack_split_shim, buf_off,
+                       (u64{ker.unpack_loc2} << 32) | ker.unpack_loc, s0);
+      } else {
+        emit_shim_call(a, &jit_unpack_shim, buf_off, ker.unpack_loc, s0);
+      }
+    };
     for (u32 g = 0; g < groups; ++g) {
       const u32 s0 = g * pack;
-      emit_shim_call(a, &jit_pack_shim, 0, item.pack_loc, s0);
+      emit_pack(s0);
       i32 cur = 0, alt = kAvx2BufBytes;
       if (wide) {
         for (unsigned i = 0; i < 25; ++i) {
@@ -277,14 +317,14 @@ void emit_function(JitAssembler& a, const HostSimdTrace& hs, HostSimdIsa isa,
             for (unsigned i = 0; i < 25; ++i) {
               a.evex_store(i, static_cast<i32>(i) * 64);
             }
-            emit_shim_call(a, &jit_unpack_shim, 0, ker.unpack_loc, s0);
+            emit_unpack(ker, 0, s0);
             if (k + 1 < item.kernel_count) {
               for (unsigned i = 0; i < 25; ++i) {
                 a.evex_load(i, static_cast<i32>(i) * 64);
               }
             }
           } else {
-            emit_shim_call(a, &jit_unpack_shim, cur, ker.unpack_loc, s0);
+            emit_unpack(ker, cur, s0);
           }
         }
       }

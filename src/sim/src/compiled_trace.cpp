@@ -261,6 +261,14 @@ void CompiledTrace::execute_op(const TraceOp& op, VectorUnit& vu, Memory& mem,
         mem.write_element(e.addr, op.sew, v);
       }
       break;
+    case TraceOpKind::kLoadStrided:
+      mem.read_strided(op.aux, static_cast<u32>(op.imm), op.sew / 8u,
+                       std::span<u8>(file + op.d, op.n * (op.sew / 8u)));
+      break;
+    case TraceOpKind::kStoreStrided:
+      mem.write_strided(op.aux, static_cast<u32>(op.imm), op.sew / 8u,
+                        std::span<const u8>(file + op.d, op.n * (op.sew / 8u)));
+      break;
     case TraceOpKind::kScalarStore:
       mem.write_element(op.aux, op.sew,
                         static_cast<u64>(static_cast<u32>(op.imm)));
@@ -545,17 +553,40 @@ void TraceCompiler::emit_memory(const Instruction& inst) {
     return;
   }
 
-  op.kind = is_load ? TraceOpKind::kLoadGather : TraceOpKind::kStoreScatter;
-  op.aux = static_cast<u32>(trace_.gather_elems_.size());
-  op.n = static_cast<u32>(vl);
+  std::vector<u32> addrs(vl);
   for (usize i = 0; i < vl; ++i) {
-    TraceMemElem e;
     if (mop == VMop::kStrided) {
-      e.addr =
+      addrs[i] =
           base + static_cast<u32>(i) * proc_.scalar().regs().read(inst.rs2);
     } else {  // indexed: 32-bit byte offsets from the index vector register
-      e.addr = base + static_cast<u32>(group_elem(inst.rs2, i, 32));
+      addrs[i] = base + static_cast<u32>(group_elem(inst.rs2, i, 32));
     }
+  }
+  op.n = static_cast<u32>(vl);
+
+  // Constant stride (the 32-bit program's lo/hi de-interleave is 8i and
+  // 8i + 4): one record with the span resolved and bounds-checked here, so
+  // replay moves the whole row with one check instead of per element.
+  const u32 stride = vl > 1 ? addrs[1] - addrs[0] : 0;
+  bool strided = stride <= 0x7FFFFFFFu &&
+                 u64{addrs[0]} + u64{stride} * (vl - 1) + data_width / 8 <=
+                     proc_.dmem().size();
+  for (usize i = 1; strided && i < vl; ++i) {
+    strided = addrs[i] == addrs[0] + static_cast<u32>(i) * stride;
+  }
+  if (strided) {
+    op.kind = is_load ? TraceOpKind::kLoadStrided : TraceOpKind::kStoreStrided;
+    op.aux = addrs[0];
+    op.imm = static_cast<i32>(stride);
+    trace_.ops_.push_back(op);
+    return;
+  }
+
+  op.kind = is_load ? TraceOpKind::kLoadGather : TraceOpKind::kStoreScatter;
+  op.aux = static_cast<u32>(trace_.gather_elems_.size());
+  for (usize i = 0; i < vl; ++i) {
+    TraceMemElem e;
+    e.addr = addrs[i];
     e.reg_off = op.d + static_cast<u32>(i * (data_width / 8));
     trace_.gather_elems_.push_back(e);
   }

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <tuple>
+#include <utility>
 
 #include "kvx/common/error.hpp"
 #include "kvx/keccak/permutation.hpp"
@@ -66,6 +68,45 @@ void host_simd_unpack(u8* file, u32 loc, u32 rb, u32 sn, u32 s0, u32 pack,
       const u64* lane = buf + (5 * y + x) * pack;
       for (u32 p = 0; p < pack && s0 + p < sn; ++p) {
         std::memcpy(row + 8 * (5 * (s0 + p) + x), &lane[p], 8);
+      }
+    }
+  }
+}
+
+void host_simd_pack_split(const u8* file, u32 lo_loc, u32 hi_loc, u32 rb,
+                          u32 sn, u32 s0, u32 pack, u64* buf) noexcept {
+  for (u32 y = 0; y < 5; ++y) {
+    const u8* lo = file + lo_loc + y * rb;
+    const u8* hi = file + hi_loc + y * rb;
+    for (u32 x = 0; x < 5; ++x) {
+      u64* lane = buf + (5 * y + x) * pack;
+      for (u32 p = 0; p < pack; ++p) {
+        const u32 s = s0 + p;
+        if (s < sn) {
+          u32 l, h;
+          std::memcpy(&l, lo + 4 * (5 * s + x), 4);
+          std::memcpy(&h, hi + 4 * (5 * s + x), 4);
+          lane[p] = (u64{h} << 32) | l;
+        } else {
+          lane[p] = 0;
+        }
+      }
+    }
+  }
+}
+
+void host_simd_unpack_split(u8* file, u32 lo_loc, u32 hi_loc, u32 rb, u32 sn,
+                            u32 s0, u32 pack, const u64* buf) noexcept {
+  for (u32 y = 0; y < 5; ++y) {
+    u8* lo = file + lo_loc + y * rb;
+    u8* hi = file + hi_loc + y * rb;
+    for (u32 x = 0; x < 5; ++x) {
+      const u64* lane = buf + (5 * y + x) * pack;
+      for (u32 p = 0; p < pack && s0 + p < sn; ++p) {
+        const u32 l = static_cast<u32>(lane[p]);
+        const u32 h = static_cast<u32>(lane[p] >> 32);
+        std::memcpy(lo + 4 * (5 * (s0 + p) + x), &l, 4);
+        std::memcpy(hi + 4 * (5 * (s0 + p) + x), &h, 4);
       }
     }
   }
@@ -158,8 +199,8 @@ inline void hs_st4(u64* p, hs_v4 v) noexcept { std::memcpy(p, &v, 32); }
 #include "host_simd_kernels.inc"
 #endif  // KVX_HS_HAVE_AVX512
 
-using GroupRunner = void (*)(u8*, u32, u32, u32, u32, const HostSimdKernel*,
-                             u32);
+using GroupRunner = void (*)(u8*, u32, u32, u32, const HostSimdItem&,
+                             const HostSimdKernel*);
 
 GroupRunner runner_for(HostSimdIsa isa) noexcept {
   switch (isa) {
@@ -376,17 +417,44 @@ std::shared_ptr<const HostSimdTrace> lower_host_simd(
   const u32 rb = static_cast<u32>(ft.base().reg_bytes());
   const auto& fops = ft.fused_ops();
 
-  // Lowerable: the 64-bit step kernels over full-width rows (one register
-  // row == 5·sn 64-bit lanes). The 32-bit split kernels and replay ranges
-  // stay on the fused tier.
-  const auto lowerable = [rb](const FusedOp& f) noexcept {
-    if (f.sew != 64 || f.sn == 0 || 40u * f.sn != rb) return false;
-    return f.kind == FusedOpKind::kTheta64 ||
-           f.kind == FusedOpKind::kRhoPi64 || f.kind == FusedOpKind::kChi;
+  // Lowerable: the step kernels over full-width rows — 64-bit planes (one
+  // register row == 5·sn 64-bit lanes) or the 32-bit split halves (one row
+  // == 5·sn 32-bit words per half; pack joins the lo and hi words into
+  // 64-bit lanes, so the same kernels run on them). Replay ranges stay on
+  // the fused tier. One plan runs at one SN, set by the first lowerable
+  // op; as rb is fixed, that also fixes the width (split or 64-bit).
+  const auto is_split = [](const FusedOp& f) noexcept {
+    return f.kind == FusedOpKind::kTheta32 ||
+           f.kind == FusedOpKind::kRhoPi32 || f.kind == FusedOpKind::kChi32;
   };
-  // θ runs in place on its dst span; ρπ/χ consume their src span.
-  const auto input_loc = [](const FusedOp& f) noexcept {
-    return f.kind == FusedOpKind::kTheta64 ? f.dst : f.src;
+  const auto row_fits = [rb, &is_split](const FusedOp& f) noexcept {
+    if (f.sn == 0) return false;
+    if (is_split(f)) return 20u * f.sn == rb;
+    return f.sew == 64 && 40u * f.sn == rb &&
+           (f.kind == FusedOpKind::kTheta64 ||
+            f.kind == FusedOpKind::kRhoPi64 || f.kind == FusedOpKind::kChi);
+  };
+  u32 plan_sn = 0;
+  for (const FusedOp& f : fops) {
+    if (row_fits(f)) {
+      plan_sn = f.sn;
+      break;
+    }
+  }
+  const auto lowerable = [&](const FusedOp& f) noexcept {
+    return row_fits(f) && f.sn == plan_sn;
+  };
+  // θ runs in place on its dst planes; ρπ/χ consume their src planes. The
+  // second location is the hi-half plane of a split op (0 otherwise).
+  const auto input_loc = [&](const FusedOp& f) noexcept {
+    const bool theta = f.kind == FusedOpKind::kTheta64 ||
+                       f.kind == FusedOpKind::kTheta32;
+    const u32 lo = theta ? f.dst : f.src;
+    const u32 hi = !is_split(f) ? 0 : theta ? f.dst2 : f.src2;
+    return std::pair{lo, hi};
+  };
+  const auto output_loc = [&](const FusedOp& f) noexcept {
+    return std::pair{f.dst, is_split(f) ? f.dst2 : 0u};
   };
 
   const auto emit_fused = [&hs](usize idx) {
@@ -403,13 +471,13 @@ std::shared_ptr<const HostSimdTrace> lower_host_simd(
       continue;
     }
     // Maximal run of lowerable kernels chained through one state location:
-    // each kernel must read the span the previous one wrote.
-    const u32 pack_loc = input_loc(fops[i]);
-    u32 cur = pack_loc;
+    // each kernel must read the span(s) the previous one wrote.
+    const auto pack_loc = input_loc(fops[i]);
+    auto cur = pack_loc;
     usize j = i;
     for (; j < fops.size() && lowerable(fops[j]); ++j) {
       if (input_loc(fops[j]) != cur) break;
-      cur = fops[j].dst;
+      cur = output_loc(fops[j]);
     }
     const usize len = j - i;
     if (len < kMinSegmentKernels) {
@@ -421,24 +489,28 @@ std::shared_ptr<const HostSimdTrace> lower_host_simd(
     HostSimdItem item;
     item.kernel_first = static_cast<u32>(hs->kernels_.size());
     item.kernel_count = static_cast<u32>(len);
-    item.pack_loc = pack_loc;
+    item.pack_loc = pack_loc.first;
+    item.pack_loc2 = pack_loc.second;
+    item.split = is_split(fops[i]);
     for (usize k = i; k < i + len; ++k) {
       const FusedOp& f = fops[k];
       HostSimdKernel ker;
       switch (f.kind) {
         case FusedOpKind::kTheta64:
+        case FusedOpKind::kTheta32:
           ker.kind = HostSimdKernelKind::kTheta;
           break;
         case FusedOpKind::kRhoPi64:
+        case FusedOpKind::kRhoPi32:
           ker.kind = HostSimdKernelKind::kRhoPi;
           break;
-        default:
+        default:  // χ: the split form's RC is already the joined 64-bit one
           ker.kind = HostSimdKernelKind::kChi;
           ker.iota = (f.flags & kFusedHasIota) != 0;
           ker.iota_rc = f.iota_rc;
           break;
       }
-      ker.unpack_loc = f.dst;
+      std::tie(ker.unpack_loc, ker.unpack_loc2) = output_loc(f);
       hs->kernels_.push_back(ker);
       hs->lowered_records_ += f.count;
     }
@@ -448,15 +520,16 @@ std::shared_ptr<const HostSimdTrace> lower_host_simd(
     // Everything a non-final kernel writes is overwritten later in the
     // segment and therefore dead — the packed registers carry it instead.
     {
-      std::vector<u32> seen;
+      std::vector<std::pair<u32, u32>> seen;
       for (u32 k = item.kernel_count; k-- > 0;) {
         HostSimdKernel& ker = hs->kernels_[item.kernel_first + k];
+        const std::pair loc{ker.unpack_loc, ker.unpack_loc2};
         bool dup = false;
-        for (const u32 s : seen) dup |= (s == ker.unpack_loc);
+        for (const auto& s : seen) dup |= (s == loc);
         if (!dup) {
           ker.unpack = true;
           ++hs->unpack_marks_;
-          seen.push_back(ker.unpack_loc);
+          seen.push_back(loc);
         }
       }
     }
@@ -466,10 +539,9 @@ std::shared_ptr<const HostSimdTrace> lower_host_simd(
   }
 
   if (hs->lowered_records_ == 0) {
-    throw SimError(
-        "host-simd lowering: no 64-bit super-kernel runs to lower");
+    throw SimError("host-simd lowering: no super-kernel runs to lower");
   }
-  hs->sn_ = rb / 40u;
+  hs->sn_ = plan_sn;
   return hs;
 }
 
@@ -495,8 +567,7 @@ void HostSimdTrace::execute(VectorUnit& vu, Memory& mem,
       continue;
     }
     for (u32 g = 0; g < groups; ++g) {
-      run(file, rb, sn_, g * pack, item.pack_loc,
-          kernels_.data() + item.kernel_first, item.kernel_count);
+      run(file, rb, sn_, g * pack, item, kernels_.data() + item.kernel_first);
     }
   }
   if (vu.config().effective_sn() != entry_sn) vu.set_sn(entry_sn);

@@ -181,6 +181,25 @@ void run_rhopi32(u8* file, const FusedOp& f, u32 rb) {
   }
 }
 
+/// χ rows of one 32-bit plane set: `src` → `dst`, with ι's `rc` XORed into
+/// lane x=0 of output row 0 when `iota` is set.
+void run_chi_plane32(u8* file, u32 src, u32 dst, u32 sn, u32 rb, bool iota,
+                     u32 rc) {
+  for (u32 r = 0; r < 5; ++r) {
+    const u8* fr = file + src + r * rb;
+    u8* orow = file + dst + r * rb;
+    for (u32 i = 0; i < sn; ++i) {
+      u32 t[5], o[5];
+      for (u32 j = 0; j < 5; ++j) t[j] = ld32(fr + 4 * (5 * i + j));
+      for (u32 j = 0; j < 5; ++j) {
+        o[j] = t[j] ^ (~t[(j + 1) % 5] & t[(j + 2) % 5]);
+      }
+      if (iota && r == 0) o[0] ^= rc;
+      for (u32 j = 0; j < 5; ++j) st32(orow + 4 * (5 * i + j), o[j]);
+    }
+  }
+}
+
 /// χ rows: out[x] = f[x] ^ (~f[x+1] & f[x+2]) within each 5-lane group of
 /// every row, plus the optionally merged ι (RC into lane x=0 of row 0).
 /// Safe for out == f: each 5-group is fully read before it is written.
@@ -213,21 +232,18 @@ void run_chi(u8* file, const FusedOp& f, u32 rb) {
       }
     }
   } else {
-    const u32 rc = static_cast<u32>(f.iota_rc);
-    for (u32 r = 0; r < 5; ++r) {
-      const u8* fr = file + f.src + r * rb;
-      u8* orow = file + f.dst + r * rb;
-      for (u32 i = 0; i < sn; ++i) {
-        u32 t[5], o[5];
-        for (u32 j = 0; j < 5; ++j) t[j] = ld32(fr + 4 * (5 * i + j));
-        for (u32 j = 0; j < 5; ++j) {
-          o[j] = t[j] ^ (~t[(j + 1) % 5] & t[(j + 2) % 5]);
-        }
-        if (iota && r == 0) o[0] ^= rc;
-        for (u32 j = 0; j < 5; ++j) st32(orow + 4 * (5 * i + j), o[j]);
-      }
-    }
+    run_chi_plane32(file, f.src, f.dst, sn, rb, iota, lo32(f.iota_rc));
   }
+}
+
+/// χ (+ι) over the 32-bit split representation: χ is bitwise, so each half
+/// runs on its own planes; the merged 64-bit round constant splits into
+/// its lo/hi words. The matcher guarantees the lo and hi planes are
+/// disjoint, so running the halves one after the other is exact.
+void run_chi32(u8* file, const FusedOp& f, u32 rb) {
+  const bool iota = (f.flags & kFusedHasIota) != 0;
+  run_chi_plane32(file, f.src, f.dst, f.sn, rb, iota, lo32(f.iota_rc));
+  run_chi_plane32(file, f.src2, f.dst2, f.sn, rb, iota, hi32(f.iota_rc));
 }
 
 // ---------------------------------------------------------------------------
@@ -251,6 +267,9 @@ struct Group {
   /// Elided-write ranges; any byte live-out of the group demotes it.
   std::vector<std::pair<u32, u32>> scratch;
   bool demoted = false;
+  /// Smaller groups inside this one's records (the halves of a split χι),
+  /// used in its place if it is demoted; each is liveness-checked itself.
+  std::vector<Group> parts;
 };
 
 void add_scratch(Group& g, u32 off, u32 len) {
@@ -274,6 +293,7 @@ class Matcher {
       if (!g) g = try_theta32(i);
       if (!g) g = try_rhopi64(i);
       if (!g) g = try_rhopi32(i);
+      if (!g) g = try_chi32(i);
       if (!g) g = try_chi(i);
       if (g) {
         i = g->op.first + g->op.count;
@@ -617,6 +637,78 @@ class Matcher {
   }
 
   std::optional<Group> try_chi(usize i) {
+    auto g = match_chi(i);
+    if (g) merge_iota(*g, g->op.sew, g->op.sn, g->op.dst);
+    return g;
+  }
+
+  /// The 32-bit program's χι: χ(lo) and χ(hi) back to back, then the ι
+  /// pair XORing the round constant's lo and hi words into the two output
+  /// row-0 planes (either order). One split op with a 64-bit RC; the ι
+  /// pair is optional (without it the op carries no ι).
+  std::optional<Group> try_chi32(usize i) {
+    if (!have(i, 1) || at(i).sew != 32) return std::nullopt;
+    const auto lo = match_chi(i);
+    if (!lo || lo->op.sew != 32) return std::nullopt;
+    const auto hi = match_chi(i + lo->op.count);
+    if (!hi || hi->op.sew != 32 || hi->op.sn != lo->op.sn) return std::nullopt;
+    // The halves run as one step (the host-SIMD tier joins them into 64-bit
+    // lanes), so neither half may touch the other's planes — not through
+    // its own planes, not through its scratch.
+    const u32 span = 5 * rb_;
+    for (const u32 a : {lo->op.src, lo->op.dst}) {
+      for (const u32 b : {hi->op.src, hi->op.dst}) {
+        if (!disjoint(a, span, b, span)) return std::nullopt;
+      }
+    }
+    for (const Group* g : {&*lo, &*hi}) {
+      for (const auto& [off, len] : g->scratch) {
+        for (const u32 p : {lo->op.src, lo->op.dst, hi->op.src, hi->op.dst}) {
+          if (!disjoint(off, len, p, span)) return std::nullopt;
+        }
+      }
+    }
+
+    Group g;
+    g.op.kind = FusedOpKind::kChi32;
+    g.op.sn = lo->op.sn;
+    g.op.sew = 32;
+    g.op.first = static_cast<u32>(i);
+    g.op.count = lo->op.count + hi->op.count;
+    g.op.src = lo->op.src;
+    g.op.src2 = hi->op.src;
+    g.op.dst = lo->op.dst;
+    g.op.dst2 = hi->op.dst;
+    for (const Group* h : {&*lo, &*hi}) {
+      for (const auto& [off, len] : h->scratch) add_scratch(g, off, len);
+    }
+    g.parts = {*lo, *hi};
+
+    const usize j = g.op.first + g.op.count;
+    const u32 ne = 5u * g.op.sn;
+    const auto iota_on = [&](const TraceOp& o, u32 plane) {
+      return o.kind == TraceOpKind::kIota && o.sew == 32 && o.d == plane &&
+             o.a == plane && o.n == ne;
+    };
+    if (have(j, 2)) {
+      const TraceOp& a = at(j);
+      const TraceOp& b = at(j + 1);
+      const bool lo_first = iota_on(a, g.op.dst) && iota_on(b, g.op.dst2);
+      const bool hi_first = iota_on(a, g.op.dst2) && iota_on(b, g.op.dst);
+      if (lo_first || hi_first) {
+        const u64 rc_lo = t_.wide_imm(lo_first ? a : b) & 0xFFFFFFFFu;
+        const u64 rc_hi = t_.wide_imm(lo_first ? b : a) & 0xFFFFFFFFu;
+        g.op.count += 2;
+        g.op.flags |= kFusedHasIota;
+        g.op.iota_rc = (rc_hi << 32) | rc_lo;
+      }
+    }
+    return g;
+  }
+
+  /// The χ forms (without ι): five vchi rows, the grouped slide/ALU form
+  /// and the row-wise LMUL=1 form.
+  std::optional<Group> match_chi(usize i) {
     if (!have(i, 5)) return std::nullopt;
     const u32 span = 5 * rb_;
 
@@ -645,7 +737,6 @@ class Matcher {
       g.op.count = 5;
       g.op.src = src;
       g.op.dst = dst;
-      merge_iota(g, sew, sn, dst);
       return g;
     }
 
@@ -710,7 +801,6 @@ class Matcher {
       g.op.dst = out;
       g.scratch.emplace_back(u, span);
       g.scratch.emplace_back(w, span);
-      merge_iota(g, sew, sn, out);
       return g;
     };
 
@@ -772,7 +862,6 @@ class Matcher {
       g.op.dst = out;
       g.scratch.emplace_back(u, span);
       g.scratch.emplace_back(w, span);
-      merge_iota(g, sew, sn, out);
       return g;
     };
 
@@ -842,6 +931,12 @@ void transfer(const TraceOp& op, LiveMap& lv, u32 rb) {
     case TraceOpKind::kStoreUnit:
       lv.set(op.d, op.n);
       break;
+    case TraceOpKind::kLoadStrided:
+      lv.clear(op.d, op.n * esz);
+      break;
+    case TraceOpKind::kStoreStrided:
+      lv.set(op.d, op.n * esz);
+      break;
     case TraceOpKind::kLoadGather:
       // Element targets aren't enumerated here; not killing is conservative.
       break;
@@ -887,19 +982,22 @@ void transfer(const TraceOp& op, LiveMap& lv, u32 rb) {
 void demote_live_scratch(const CompiledTrace& t, std::vector<Group>& groups) {
   const auto& ops = t.ops();
   const u32 rb = static_cast<u32>(t.reg_bytes());
-  std::vector<i32> group_at(ops.size(), -1);
-  for (usize gi = 0; gi < groups.size(); ++gi) {
-    group_at[groups[gi].op.first + groups[gi].op.count - 1] =
-        static_cast<i32>(gi);
+  // Groups (and their parts) by last record.
+  std::vector<std::vector<Group*>> ending_at(ops.size());
+  for (Group& g : groups) {
+    ending_at[g.op.first + g.op.count - 1].push_back(&g);
+    for (Group& p : g.parts) {
+      ending_at[p.op.first + p.op.count - 1].push_back(&p);
+    }
   }
   LiveMap lv(32 * static_cast<usize>(rb));
   for (usize i = ops.size(); i-- > 0;) {
-    if (const i32 gi = group_at[i]; gi >= 0) {
-      // The map right before applying record i's transfer is the group's
-      // live-out set: i is the group's last record.
-      for (const auto& [off, len] : groups[static_cast<usize>(gi)].scratch) {
+    // The map right before applying record i's transfer is the live-out set
+    // of every group whose last record is i.
+    for (Group* g : ending_at[i]) {
+      for (const auto& [off, len] : g->scratch) {
         if (lv.any(off, len)) {
-          groups[static_cast<usize>(gi)].demoted = true;
+          g->demoted = true;
           break;
         }
       }
@@ -927,6 +1025,7 @@ void FusedTrace::execute_op(const FusedOp& f, VectorUnit& vu, Memory& mem,
     case FusedOpKind::kRhoPi64: run_rhopi64(file, f, rb); break;
     case FusedOpKind::kRhoPi32: run_rhopi32(file, f, rb); break;
     case FusedOpKind::kChi: run_chi(file, f, rb); break;
+    case FusedOpKind::kChi32: run_chi32(file, f, rb); break;
   }
 }
 
@@ -959,13 +1058,23 @@ std::shared_ptr<const FusedTrace> fuse_trace(
       fused->fused_.push_back(r);
     }
   };
-  for (const Group& g : groups) {
-    if (g.demoted) continue;  // its records join the surrounding replay run
+  const auto add_group = [&](const Group& g) {
     add_replay(pos, g.op.first);
     fused->fused_.push_back(g.op);
     fused->fused_records_ += g.op.count;
     ++fused->super_kernels_;
     pos = g.op.first + g.op.count;
+  };
+  // A demoted group's records join the surrounding replay run, except those
+  // its surviving parts still cover.
+  for (const Group& g : groups) {
+    if (!g.demoted) {
+      add_group(g);
+      continue;
+    }
+    for (const Group& p : g.parts) {
+      if (!p.demoted) add_group(p);
+    }
   }
   add_replay(pos, nops);
   return fused;

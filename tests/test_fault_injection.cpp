@@ -21,6 +21,7 @@
 #include "kvx/common/rng.hpp"
 #include "kvx/core/vector_keccak.hpp"
 #include "kvx/engine/batch_engine.hpp"
+#include "kvx/keccak/permutation.hpp"
 #include "kvx/obs/metrics.hpp"
 #include "kvx/sim/fault_injector.hpp"
 
@@ -540,14 +541,11 @@ TEST(FaultInjection, ShardedSchedulerRecoversAndAttributesFallbacks) {
   EXPECT_EQ(shard_sum, fb_delta);
 }
 
-// The acceptance matrix in miniature (kvx-fuzz runs the full-size version):
-// every backend × thread count under probabilistic injection must keep all
-// invariants and never produce a silently wrong digest.
-class EngineFaultMatrixTest
-    : public ::testing::TestWithParam<std::tuple<ExecBackend, unsigned>> {};
-
-TEST_P(EngineFaultMatrixTest, InvariantsHoldUnderRandomFaults) {
-  const auto [backend, threads] = GetParam();
+/// Every backend under probabilistic injection must keep all engine
+/// invariants and never produce a silently wrong digest.
+void expect_invariants_under_random_faults(core::Arch arch, unsigned sn,
+                                           ExecBackend backend,
+                                           unsigned threads) {
   auto& r = obs::MetricsRegistry::global();
   obs::Counter& submitted_c = r.counter("kvx_engine_jobs_submitted_total");
   obs::Counter& completed_c = r.counter("kvx_engine_jobs_completed_total");
@@ -558,7 +556,7 @@ TEST_P(EngineFaultMatrixTest, InvariantsHoldUnderRandomFaults) {
 
   EngineConfig cfg;
   cfg.threads = threads;
-  cfg.accel = {core::Arch::k64Lmul8, 15, 24};
+  cfg.accel = {arch, 5 * sn, 24};
   cfg.accel.backend = backend;
   FaultPlan plan;
   plan.seed = 1000 + static_cast<u64>(backend) * 10 + threads;
@@ -592,6 +590,17 @@ TEST_P(EngineFaultMatrixTest, InvariantsHoldUnderRandomFaults) {
   EXPECT_EQ(failures_c.value() - fail0, failed);
 }
 
+// The acceptance matrix in miniature (kvx-fuzz runs the full-size version):
+// every backend × thread count under probabilistic injection.
+class EngineFaultMatrixTest
+    : public ::testing::TestWithParam<std::tuple<ExecBackend, unsigned>> {};
+
+TEST_P(EngineFaultMatrixTest, InvariantsHoldUnderRandomFaults) {
+  const auto [backend, threads] = GetParam();
+  expect_invariants_under_random_faults(core::Arch::k64Lmul8, 3, backend,
+                                        threads);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BackendsByThreads, EngineFaultMatrixTest,
     ::testing::Combine(::testing::Values(ExecBackend::kInterpreter,
@@ -607,6 +616,79 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       }
       return name + "_T" + std::to_string(std::get<1>(info.param));
+    });
+
+// The same matrix on the paper's 32-bit split-half arch (SN=6), whose
+// host-simd and jit tiers run split plans: an execute fault inside one must
+// restage and recover one tier down with golden results, and the engine
+// invariants must hold under random faults on every backend.
+class SplitArchFaultMatrixTest : public ::testing::TestWithParam<ExecBackend> {
+ protected:
+  static VectorKeccakConfig config(ExecBackend backend) {
+    VectorKeccakConfig cfg{core::Arch::k32Lmul8, 30, 24};
+    cfg.backend = backend;
+    return cfg;
+  }
+};
+
+TEST_P(SplitArchFaultMatrixTest, ExecuteFaultRecoversOneTierDown) {
+  // Probe how many compile-site draws construction takes on this host
+  // (a host that cannot emit native code demotes jit and draws again),
+  // then arm exactly the first dispatch draw.
+  auto probe_cfg = config(GetParam());
+  probe_cfg.fault_injector = std::make_shared<FaultInjector>(FaultPlan{});
+  VectorKeccak probe(probe_cfg);
+  const ExecBackend built = probe.active_backend();
+  if (GetParam() != ExecBackend::kJit) ASSERT_EQ(built, GetParam());
+
+  auto cfg = config(GetParam());
+  FaultPlan plan;
+  plan.at_draw = probe_cfg.fault_injector->stats().draws + 1;
+  plan.kinds = static_cast<u32>(FaultKind::kSimFault);
+  cfg.fault_injector = std::make_shared<FaultInjector>(plan);
+  VectorKeccak vk(cfg);
+  ASSERT_EQ(vk.active_backend(), built);
+
+  auto states = random_states(6, 0x32B);
+  auto golden = states;
+  for (keccak::State& s : golden) keccak::permute(s);
+  if (built == ExecBackend::kInterpreter) {
+    // The floor has nowhere to demote: the fault surfaces, and the next
+    // dispatch (restaged from the caller's states) is clean.
+    auto faulted = states;
+    EXPECT_THROW(vk.permute(faulted), SimError);
+    vk.permute(states);
+    expect_states_equal(states, golden);
+    return;
+  }
+  vk.permute(states);
+  EXPECT_EQ(vk.last_backend(), sim::demote_backend(built));
+  EXPECT_NE(vk.last_fallback_error().find("injected fault"),
+            std::string::npos);
+  expect_states_equal(states, golden);
+  EXPECT_EQ(vk.last_timing().permutation_cycles, 3646u);
+
+  // One-shot: the next dispatch runs the built tier again.
+  vk.permute(states);
+  EXPECT_EQ(vk.last_backend(), built);
+}
+
+TEST_P(SplitArchFaultMatrixTest, EngineInvariantsHoldUnderRandomFaults) {
+  expect_invariants_under_random_faults(core::Arch::k32Lmul8, 6, GetParam(),
+                                        2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, SplitArchFaultMatrixTest,
+    ::testing::Values(ExecBackend::kInterpreter, ExecBackend::kCompiledTrace,
+                      ExecBackend::kFusedTrace, ExecBackend::kHostSimd,
+                      ExecBackend::kJit),
+    [](const auto& info) {
+      std::string name(sim::backend_name(info.param));
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
     });
 
 // --- per-job failure forensics ---------------------------------------------------

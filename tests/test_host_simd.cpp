@@ -1,14 +1,17 @@
 // Tests of the host-SIMD execution backend (tier zero): the packed-state
-// transpose must round-trip arbitrary regfile contents (including ragged
-// final groups), lowered execution must be bit-identical to the fused
-// backend / interpreter / golden model across all paper configurations and
-// on every host ISA compiled in, cycle reporting must pass the pinned paper
+// transpose (plain and lo/hi split) must round-trip arbitrary regfile
+// contents (including ragged final groups), lowered execution must be
+// bit-identical to the fused backend / interpreter / golden model across
+// all paper configurations — the 32-bit split arch included — and on every
+// host ISA compiled in, cycle reporting must pass the pinned paper
 // values through untouched, the trace cache must key lowerings separately,
 // and the engine must report the host-simd tier and dispatch ISA.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <tuple>
 
 #include "kvx/common/error.hpp"
@@ -112,6 +115,52 @@ TEST_P(PackTranspose, RoundTripsArbitraryRegfileContents) {
     }
     sim::host_simd_unpack(scrubbed.data(), loc, rb, sn(), s0, pack(),
                           buf.data());
+    EXPECT_EQ(scrubbed, file) << "s0=" << s0;
+  }
+}
+
+TEST_P(PackTranspose, SplitRoundTripsLoHiPlanes) {
+  // The 32-bit arch's split pack joins word (x, y) of the lo planes and of
+  // the hi planes into one 64-bit lane, hi << 32 | lo; split unpack must
+  // restore both plane sets exactly and touch nothing else.
+  const u32 rb = 20 * sn();  // five 32-bit words per state per row
+  const u32 lo = 2 * rb;
+  const u32 hi = 16 * rb;    // the program's v16 hi-half group
+  SplitMix64 rng(0x5B17 + sn() * 16 + pack());
+  std::vector<u8> file(hi + 5 * rb);
+  for (u8& b : file) b = static_cast<u8>(rng.next());
+
+  for (u32 s0 = 0; s0 < sn(); s0 += pack()) {
+    std::vector<u64> buf(usize{25} * pack(), 0xAAAAAAAAAAAAAAAAull);
+    sim::host_simd_pack_split(file.data(), lo, hi, rb, sn(), s0, pack(),
+                              buf.data());
+    for (u32 y = 0; y < 5; ++y) {
+      for (u32 x = 0; x < 5; ++x) {
+        for (u32 p = 0; p < pack(); ++p) {
+          const u64 got = buf[(5 * y + x) * pack() + p];
+          if (s0 + p >= sn()) {
+            EXPECT_EQ(got, 0u) << "pad lane not zeroed";
+            continue;
+          }
+          const usize e = y * rb + (5 * (s0 + p) + x) * 4;
+          u32 want_lo = 0, want_hi = 0;
+          std::memcpy(&want_lo, &file[lo + e], 4);
+          std::memcpy(&want_hi, &file[hi + e], 4);
+          EXPECT_EQ(got, (u64{want_hi} << 32) | want_lo)
+              << "x=" << x << " y=" << y << " p=" << p;
+        }
+      }
+    }
+
+    std::vector<u8> scrubbed = file;
+    for (u32 y = 0; y < 5; ++y) {
+      for (u32 p = 0; p < pack() && s0 + p < sn(); ++p) {
+        std::memset(&scrubbed[lo + y * rb + 5 * (s0 + p) * 4], 0x5C, 20);
+        std::memset(&scrubbed[hi + y * rb + 5 * (s0 + p) * 4], 0xC5, 20);
+      }
+    }
+    sim::host_simd_unpack_split(scrubbed.data(), lo, hi, rb, sn(), s0, pack(),
+                                buf.data());
     EXPECT_EQ(scrubbed, file) << "s0=" << s0;
   }
 }
@@ -293,13 +342,73 @@ TEST_P(HostSimdDifferential, EveryCompiledIsaProducesIdenticalResults) {
   }
 }
 
+TEST_P(HostSimdDifferential, EveryTierLeavesTheInterpretersMachineState) {
+  // One random staged state through the interpreter and through the trace,
+  // fused and host-simd tiers: register file, data memory, final scalar
+  // registers and cycles must all be the interpreter's.
+  const VectorKeccakConfig cfg = config(ExecBackend::kInterpreter);
+  const auto program = VectorKeccak::build_program(cfg);
+  sim::TraceCompileOptions opts;
+  opts.verify_base = program->image.symbol("state");
+  opts.verify_len = usize{5} * cfg.ele_num * 8;
+  const auto trace = sim::compile_trace(program->image, proc_config(cfg), opts);
+  const auto fused = sim::fuse_trace(trace);
+  const auto hs = sim::lower_host_simd(fused);
+
+  SplitMix64 rng(0x7135 + sn());
+  std::vector<u8> state_data(opts.verify_len);
+  for (u8& byte : state_data) byte = static_cast<u8>(rng.next());
+  const auto machine = [&] {
+    auto p = std::make_unique<sim::SimdProcessor>(proc_config(cfg));
+    p->load_program(program->image);
+    p->dmem().write_block(opts.verify_base, state_data);
+    return p;
+  };
+  const auto interp = machine();
+  interp->run();
+  std::vector<u8> want_mem(interp->dmem().size());
+  interp->dmem().read_block(0, want_mem);
+  std::array<u32, 32> want_x{};
+  for (unsigned r = 0; r < 32; ++r) want_x[r] = interp->scalar().regs().read(r);
+
+  const auto check = [&](const char* tier, const auto& t) {
+    const auto p = machine();
+    t.execute(p->vector(), p->dmem(), p->config().cycle_model);
+    for (unsigned r = 0; r < 32; ++r) {
+      EXPECT_EQ(p->vector().get_register(r), interp->vector().get_register(r))
+          << tier << " v" << r;
+    }
+    std::vector<u8> mem(p->dmem().size());
+    p->dmem().read_block(0, mem);
+    EXPECT_EQ(mem, want_mem) << tier;
+    EXPECT_EQ(t.final_scalar_regs(), want_x) << tier;
+    EXPECT_EQ(t.total_cycles(), interp->cycles()) << tier;
+    EXPECT_EQ(t.cycles_between(Markers::kPermStart, Markers::kPermEnd),
+              interp->cycles_between(Markers::kPermStart, Markers::kPermEnd))
+        << tier;
+  };
+  check("trace", *trace);
+  check("fused", *fused);
+  check("host-simd", *hs);
+  if (arch() == Arch::k32Lmul8) {
+    EXPECT_EQ(hs->cycles_between(Markers::kPermStart, Markers::kPermEnd),
+              3646u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     PaperConfigs, HostSimdDifferential,
     ::testing::Values(std::make_tuple(Arch::k64Lmul1, 1u),
                       std::make_tuple(Arch::k64Lmul8, 3u),
                       std::make_tuple(Arch::k64Fused, 3u),
                       std::make_tuple(Arch::k64Lmul8, 6u),
-                      std::make_tuple(Arch::k64Lmul8, 8u)));
+                      std::make_tuple(Arch::k64Lmul8, 8u),
+                      // The 32-bit split halves: scalar at SN=1, ragged
+                      // pack groups at SN=3/6, a full AVX-512 group at 8.
+                      std::make_tuple(Arch::k32Lmul8, 1u),
+                      std::make_tuple(Arch::k32Lmul8, 3u),
+                      std::make_tuple(Arch::k32Lmul8, 6u),
+                      std::make_tuple(Arch::k32Lmul8, 8u)));
 
 // ---------------------------------------------------------------------------
 // Demotion, cycle pinning, cache keying, engine reporting.
@@ -317,21 +426,40 @@ TEST(HostSimd, PermutationCyclesMatchPinnedPaperValues) {
   };
   EXPECT_EQ(perm_cycles(Arch::k64Lmul1, ExecBackend::kHostSimd), 2566u);
   EXPECT_EQ(perm_cycles(Arch::k64Lmul8, ExecBackend::kHostSimd), 1894u);
-  // 32-bit split halves cannot lower; the chain must land on fused with
-  // the pinned cycle count intact.
-  EXPECT_EQ(perm_cycles(Arch::k32Lmul8, ExecBackend::kFusedTrace), 3646u);
+  // The 32-bit split halves lower too (scalar at SN=1), cycles intact.
+  EXPECT_EQ(perm_cycles(Arch::k32Lmul8, ExecBackend::kHostSimd), 3646u);
 }
 
-TEST(HostSimd, SplitArchDemotesToFusedWithCorrectDigests) {
+TEST(HostSimd, SplitArchLowersWithCorrectDigests) {
   VectorKeccakConfig c{Arch::k32Lmul8, 30, 24};
   c.backend = ExecBackend::kHostSimd;
   VectorKeccak vk(c);
-  EXPECT_EQ(vk.active_backend(), ExecBackend::kFusedTrace);
-  EXPECT_GE(vk.backend_fallbacks(), 1u);
-  EXPECT_EQ(vk.host_simd_coverage(), 0.0);
+  EXPECT_EQ(vk.active_backend(), ExecBackend::kHostSimd);
+  EXPECT_EQ(vk.backend_fallbacks(), 0u);
+  EXPECT_GT(vk.host_simd_coverage(), 0.5);
   EXPECT_GT(vk.fusion_coverage(), 0.5);
 
   auto states = random_states(6, 0x5EED);
+  auto golden = states;
+  vk.permute(states);
+  EXPECT_EQ(vk.last_backend(), ExecBackend::kHostSimd);
+  for (State& s : golden) keccak::permute(s);
+  for (usize i = 0; i < states.size(); ++i) EXPECT_EQ(states[i], golden[i]);
+}
+
+TEST(HostSimd, UnlowerableProgramDemotesToFusedWithCorrectDigests) {
+  // The pure-RVV ablation has no θ/ρπ/χ super-kernels at all, so lowering
+  // throws and construction demotes once, to fused.
+  VectorKeccakConfig c{Arch::k64PureRvv, 15, 24};
+  c.backend = ExecBackend::kHostSimd;
+  VectorKeccak vk(c);
+  EXPECT_EQ(vk.active_backend(), ExecBackend::kFusedTrace);
+  EXPECT_EQ(vk.backend_fallbacks(), 1u);
+  EXPECT_EQ(vk.host_simd_coverage(), 0.0);
+  ASSERT_EQ(vk.construction_attempts().size(), 1u);
+  EXPECT_EQ(vk.construction_attempts()[0].tier, ExecBackend::kHostSimd);
+
+  auto states = random_states(3, 0x5EED);
   auto golden = states;
   vk.permute(states);
   for (State& s : golden) keccak::permute(s);

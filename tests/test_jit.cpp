@@ -1,12 +1,13 @@
 // Tests of the trace-to-native JIT backend (tier zero of five): emitted
 // machine code must be bit-identical to every tier below it (digests,
-// register file, data memory) across all paper configurations and every
-// emitted ISA, cycle reporting must pass the pinned paper values through
-// untouched, unsupported hosts/ISA resolutions/arch splits must demote
-// cleanly down the chain, the trace cache must key emissions per ISA while
-// sharing one host-SIMD plan (and export occupancy gauges), the engine must
-// report the jit tier, and — the disassembly self-check — every emitted
-// byte sequence must decode against the encoder's fixed allowlist.
+// register file, data memory) across all paper configurations — the 32-bit
+// split arch included — and every emitted ISA, cycle reporting must pass
+// the pinned paper values through untouched, unsupported hosts/ISA
+// resolutions/unlowerable programs must demote cleanly down the chain, the
+// trace cache must key emissions per ISA while sharing one host-SIMD plan
+// (and export occupancy gauges), the engine must report the jit tier, and
+// — the disassembly self-check — every emitted byte sequence must decode
+// against the encoder's fixed allowlist, with 64-bit emission sizes pinned.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -232,7 +233,12 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(Arch::k64Lmul8, 3u),
                       std::make_tuple(Arch::k64Fused, 3u),
                       std::make_tuple(Arch::k64Lmul8, 6u),
-                      std::make_tuple(Arch::k64Lmul8, 8u)));
+                      std::make_tuple(Arch::k64Lmul8, 8u),
+                      // The 32-bit split halves through the split shims.
+                      std::make_tuple(Arch::k32Lmul8, 1u),
+                      std::make_tuple(Arch::k32Lmul8, 3u),
+                      std::make_tuple(Arch::k32Lmul8, 6u),
+                      std::make_tuple(Arch::k32Lmul8, 8u)));
 
 // ---------------------------------------------------------------------------
 // Cycle pinning and the demotion chain.
@@ -257,23 +263,43 @@ TEST(Jit, PermutationCyclesMatchPinnedPaperValues) {
   };
   EXPECT_EQ(perm_cycles(Arch::k64Lmul1, ExecBackend::kJit), 2566u);
   EXPECT_EQ(perm_cycles(Arch::k64Lmul8, ExecBackend::kJit), 1894u);
-  // 32-bit split halves cannot lower at all: the chain must fall through
-  // jit → host-simd → fused with the pinned cycle count intact.
-  EXPECT_EQ(perm_cycles(Arch::k32Lmul8, ExecBackend::kFusedTrace), 3646u);
+  EXPECT_EQ(perm_cycles(Arch::k32Lmul8, ExecBackend::kJit), 3646u);
 }
 
-TEST(Jit, SplitArchDemotesToFusedWithCorrectDigests) {
+TEST(Jit, SplitArchEmitsNativeCodeWithCorrectDigests) {
+  // The 32-bit split arch at SN=6 under automatic dispatch: native code,
+  // no construction demotion.
+  KVX_REQUIRE_JIT_HOST();
   VectorKeccakConfig c{Arch::k32Lmul8, 30, 24};
   c.backend = ExecBackend::kJit;
   VectorKeccak vk(c);
+  EXPECT_EQ(vk.active_backend(), ExecBackend::kJit)
+      << vk.last_fallback_error();
+  EXPECT_EQ(vk.backend_fallbacks(), 0u);
+  EXPECT_GT(vk.jit_code_bytes(), 0u);
+  EXPECT_TRUE(vk.jit_isa().has_value());
+
+  auto states = random_states(6, 0x5EED);
+  auto golden = states;
+  vk.permute(states);
+  EXPECT_EQ(vk.last_backend(), ExecBackend::kJit);
+  for (State& s : golden) keccak::permute(s);
+  for (usize i = 0; i < states.size(); ++i) EXPECT_EQ(states[i], golden[i]);
+}
+
+TEST(Jit, UnlowerableProgramDemotesToFusedWithCorrectDigests) {
+  // The pure-RVV ablation has no super-kernels to lower: jit → host-simd
+  // (the plan under the jit throws) and host-simd → fused, two counted
+  // construction demotions on every host.
+  VectorKeccakConfig c{Arch::k64PureRvv, 15, 24};
+  c.backend = ExecBackend::kJit;
+  VectorKeccak vk(c);
   EXPECT_EQ(vk.active_backend(), ExecBackend::kFusedTrace);
-  // jit → host-simd (nothing lowerable) and host-simd → fused: two counted
-  // construction demotions.
-  EXPECT_GE(vk.backend_fallbacks(), 2u);
+  EXPECT_EQ(vk.backend_fallbacks(), 2u);
   EXPECT_EQ(vk.jit_code_bytes(), 0u);
   EXPECT_FALSE(vk.jit_isa().has_value());
 
-  auto states = random_states(6, 0x5EED);
+  auto states = random_states(3, 0x5EED);
   auto golden = states;
   vk.permute(states);
   for (State& s : golden) keccak::permute(s);
@@ -440,40 +466,77 @@ TEST(JitDisasm, EmittedCodeDecodesEndToEndOnEveryIsa) {
   // encoder shifts the tiling and fails here.
   KVX_REQUIRE_JIT_HOST();
   IsaGuard guard;
-  VectorKeccakConfig c{Arch::k64Lmul8, 15, 24};
-  const auto program = VectorKeccak::build_program(c);
-  const auto opts = verify_opts(*program, c);
+  // A 64-bit plan and a split (32-bit) plan, whose transposes go through
+  // the split shims with their movabs-loaded plane-offset pairs.
+  for (const VectorKeccakConfig& c :
+       {VectorKeccakConfig{Arch::k64Lmul8, 15, 24},
+        VectorKeccakConfig{Arch::k32Lmul8, 30, 24}}) {
+    SCOPED_TRACE(arch_name(c.arch));
+    const auto program = VectorKeccak::build_program(c);
+    const auto opts = verify_opts(*program, c);
 
-  for (const HostSimdIsa isa : emittable_isas()) {
-    sim::host_simd_force_isa(isa);
-    const auto jit = sim::lower_jit(sim::lower_host_simd(sim::fuse_trace(
-        sim::compile_trace(program->image, proc_config(c), opts))));
-    ASSERT_EQ(jit->isa(), isa);
-    ASSERT_GT(jit->code_size(), 0u);
+    for (const HostSimdIsa isa : emittable_isas()) {
+      sim::host_simd_force_isa(isa);
+      const auto jit = sim::lower_jit(sim::lower_host_simd(sim::fuse_trace(
+          sim::compile_trace(program->image, proc_config(c), opts))));
+      ASSERT_EQ(jit->isa(), isa);
+      ASSERT_GT(jit->code_size(), 0u);
 
-    usize off = 0;
-    usize insns = 0;
-    while (off < jit->code_size()) {
-      const auto d =
-          sim::jit_decode_one(jit->code() + off, jit->code_size() - off);
-      ASSERT_TRUE(d.has_value())
-          << sim::host_simd_isa_name(isa) << ": undecodable byte 0x"
-          << std::hex << unsigned{jit->code()[off]} << " at offset " << std::dec
-          << off;
-      ASSERT_GT(d->length, 0u);
-      off += d->length;
-      ++insns;
+      usize off = 0;
+      usize insns = 0;
+      while (off < jit->code_size()) {
+        const auto d =
+            sim::jit_decode_one(jit->code() + off, jit->code_size() - off);
+        ASSERT_TRUE(d.has_value())
+            << sim::host_simd_isa_name(isa) << ": undecodable byte 0x"
+            << std::hex << unsigned{jit->code()[off]} << " at offset "
+            << std::dec << off;
+        ASSERT_GT(d->length, 0u);
+        off += d->length;
+        ++insns;
+      }
+      EXPECT_EQ(off, jit->code_size());
+      // A 24-round emission is thousands of instructions; a trivially small
+      // count means the emitter silently skipped the round bodies.
+      EXPECT_GT(insns, 500u) << sim::host_simd_isa_name(isa);
+      // The ι constants of every natively lowered round reach the
+      // (deduplicated) pool — most but not all of the 24 distinct RCs, since
+      // the rounds adjoining unlowerable plan items replay through the shim.
+      EXPECT_GT(jit->literal_count(), 0u);
+      EXPECT_LE(jit->literal_count(), 24u);
+      EXPECT_GE(jit->buffer_bytes(), jit->code_size());
     }
-    EXPECT_EQ(off, jit->code_size());
-    // A 24-round emission is thousands of instructions; a trivially small
-    // count means the emitter silently skipped the round bodies.
-    EXPECT_GT(insns, 500u) << sim::host_simd_isa_name(isa);
-    // The ι constants of every natively lowered round reach the
-    // (deduplicated) pool — most but not all of the 24 distinct RCs, since
-    // the rounds adjoining unlowerable plan items replay through the shim.
-    EXPECT_GT(jit->literal_count(), 0u);
-    EXPECT_LE(jit->literal_count(), 24u);
-    EXPECT_GE(jit->buffer_bytes(), jit->code_size());
+  }
+}
+
+TEST(JitDisasm, SixtyFourBitEmissionSizesArePinned) {
+  // Split lowering added transposes for 32-bit plans only: a 64-bit plan's
+  // emitted code must stay exactly as long as before it (the sizes below
+  // were recorded before the split lowering existed). Any change to the
+  // 64-bit emitter moves these numbers and must update them on purpose.
+  KVX_REQUIRE_JIT_HOST();
+  IsaGuard guard;
+  struct Pin {
+    Arch arch;
+    unsigned sn;
+    HostSimdIsa isa;
+    usize code_size;
+  };
+  for (const Pin& pin : {Pin{Arch::k64Lmul1, 1, HostSimdIsa::kAvx2, 60213},
+                         Pin{Arch::k64Lmul8, 3, HostSimdIsa::kAvx2, 58509},
+                         Pin{Arch::k64Lmul1, 1, HostSimdIsa::kAvx512, 20888},
+                         Pin{Arch::k64Lmul8, 3, HostSimdIsa::kAvx512, 20463}}) {
+    if (!sim::host_simd_isa_available(pin.isa)) continue;
+    sim::host_simd_force_isa(pin.isa);
+    const VectorKeccakConfig c{pin.arch, 5 * pin.sn, 24};
+    const auto program = VectorKeccak::build_program(c);
+    const auto jit = sim::lower_jit(sim::lower_host_simd(
+        sim::fuse_trace(sim::compile_trace(program->image, proc_config(c),
+                                           verify_opts(*program, c)))));
+    EXPECT_EQ(jit->code_size(), pin.code_size)
+        << arch_name(pin.arch) << " SN=" << pin.sn << " "
+        << sim::host_simd_isa_name(pin.isa);
+    EXPECT_EQ(jit->literal_count(), 21u);
   }
 }
 

@@ -1,11 +1,16 @@
 // Differential tests of the fused-trace execution backend: super-kernel
 // replays must be bit-identical to the interpreter and the plain compiled
 // trace — digests, full vector register file, data memory and cycle counts
-// — across all paper configurations; unrecognizable programs must fall
-// back to per-record replay; and the trace cache must key compilations by
-// backend so a "trace" shard never observes a fused artifact.
+// — across all paper configurations; the 32-bit round must fuse to three
+// kernels (θ32, ρπ32, split χι); constant-stride gathers/scatters must
+// compile to strided records that match per-element access; unrecognizable
+// programs must fall back to per-record replay; and the trace cache must
+// key compilations by backend so a "trace" shard never observes a fused
+// artifact.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <tuple>
 
 #include "kvx/common/error.hpp"
@@ -188,6 +193,190 @@ TEST(TraceFusion, PermutationCyclesMatchPinnedPaperValues) {
   EXPECT_EQ(perm_cycles(Arch::k64Lmul1), 2566u);
   EXPECT_EQ(perm_cycles(Arch::k64Lmul8), 1894u);
   EXPECT_EQ(perm_cycles(Arch::k32Lmul8), 3646u);
+}
+
+TEST(TraceFusion, SplitChiIotaFusesToOneKernelPerRound) {
+  // The 32-bit round is θ32, ρπ32 and ONE split χι: χ(lo) + χ(hi) + the
+  // ι(lo)/ι(hi) pair, carrying the joined 64-bit round constant. The final
+  // round's χι has live-out scratch, so it falls back to its halves (χ(lo)
+  // survives; χ(hi) and the ι pair replay). Execution must match the base
+  // trace's per-record replay byte for byte.
+  const VectorKeccakConfig cfg{Arch::k32Lmul8, 15, 24};
+  const auto program = VectorKeccak::build_program(cfg);
+  sim::TraceCompileOptions opts;
+  opts.verify_base = program->image.symbol("state");
+  opts.verify_len = usize{5} * cfg.ele_num * 8;
+  const auto base =
+      sim::compile_trace(program->image, proc_config(cfg), opts);
+  const auto fused = sim::fuse_trace(base);
+
+  std::vector<sim::FusedOpKind> kernels;
+  std::vector<u64> rcs;
+  for (const sim::FusedOp& f : fused->fused_ops()) {
+    if (f.kind == sim::FusedOpKind::kReplayRange) continue;
+    kernels.push_back(f.kind);
+    if (f.kind == sim::FusedOpKind::kChi32) {
+      EXPECT_EQ(f.count, 28u);
+      EXPECT_NE(f.flags & sim::kFusedHasIota, 0);
+      rcs.push_back(f.iota_rc);
+    }
+  }
+  ASSERT_EQ(kernels.size(), 23u * 3 + 2);
+  for (usize r = 0; r < 23; ++r) {
+    EXPECT_EQ(kernels[3 * r], sim::FusedOpKind::kTheta32) << "round " << r;
+    EXPECT_EQ(kernels[3 * r + 1], sim::FusedOpKind::kRhoPi32) << "round " << r;
+    EXPECT_EQ(kernels[3 * r + 2], sim::FusedOpKind::kChi32) << "round " << r;
+    EXPECT_EQ(rcs[r], keccak::round_constants()[r]) << "round " << r;
+  }
+  EXPECT_EQ(kernels[69], sim::FusedOpKind::kRhoPi32);
+  EXPECT_EQ(kernels[70], sim::FusedOpKind::kChi);  // the surviving χ(lo)
+
+  sim::SimdProcessor pt(proc_config(cfg));
+  sim::SimdProcessor pf(proc_config(cfg));
+  pt.load_program(program->image);
+  pf.load_program(program->image);
+  SplitMix64 rng(0x5417);
+  std::vector<u8> row(pt.vector().reg_bytes());
+  for (unsigned r = 0; r < 32; ++r) {
+    for (u8& byte : row) byte = static_cast<u8>(rng.next());
+    pt.vector().set_register(r, row);
+    pf.vector().set_register(r, row);
+  }
+  std::vector<u8> state_data(opts.verify_len);
+  for (u8& byte : state_data) byte = static_cast<u8>(rng.next());
+  pt.dmem().write_block(opts.verify_base, state_data);
+  pf.dmem().write_block(opts.verify_base, state_data);
+  base->execute(pt.vector(), pt.dmem(), pt.config().cycle_model);
+  fused->execute(pf.vector(), pf.dmem(), pf.config().cycle_model);
+  for (unsigned r = 0; r < 32; ++r) {
+    EXPECT_EQ(pf.vector().get_register(r), pt.vector().get_register(r))
+        << "v" << r;
+  }
+  std::vector<u8> mt(pt.dmem().size());
+  std::vector<u8> mf(pf.dmem().size());
+  pt.dmem().read_block(0, mt);
+  pf.dmem().read_block(0, mf);
+  EXPECT_EQ(mf, mt);
+}
+
+TEST(TraceFusion, StridedGatherScatterRecordsMatchPerElementAccess) {
+  // Gathers and scatters whose resolved addresses have a constant stride
+  // (indexed with 8i / 8i + 4 like the 32-bit program's lo/hi exchange, or
+  // vlse/vsse) compile to one strided record each; an irregular index
+  // vector keeps the per-element record. Replay must match the
+  // interpreter's element-by-element LSU exactly.
+  const auto program = assembler::assemble(R"(
+    la a0, data
+    li t1, 5
+    vsetvli x0, t1, e32, m1, tu, mu
+    la a1, idx_lo
+    vle32.v v30, (a1)
+    la a1, idx_hi
+    vle32.v v31, (a1)
+    la a1, idx_perm
+    vle32.v v29, (a1)
+    vluxei32.v v1, (a0), v30
+    vluxei32.v v2, (a0), v31
+    vluxei32.v v3, (a0), v29
+    li t0, 12
+    vlse32.v v4, (a0), t0
+    vxor.vv v5, v1, v2
+    vxor.vv v5, v5, v3
+    vxor.vv v5, v5, v4
+    la a2, out
+    vsuxei32.v v5, (a2), v30
+    vsuxei32.v v4, (a2), v31
+    la a3, out2
+    vsuxei32.v v3, (a3), v29
+    vsse32.v v1, (a3), t0
+    ebreak
+.data
+data:
+    .word 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88
+    .word 0x99, 0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xFF, 0x100
+idx_lo:
+    .word 0, 8, 16, 24, 32
+idx_hi:
+    .word 4, 12, 20, 28, 36
+idx_perm:
+    .word 12, 0, 36, 4, 20
+out:
+    .zero 64
+out2:
+    .zero 64
+  )");
+  sim::ProcessorConfig cfg;
+  cfg.vector.elen_bits = 64;
+  cfg.vector.ele_num = 5;
+  const auto trace = sim::compile_trace(program, cfg, {});
+
+  usize strided_loads = 0, strided_stores = 0, gathers = 0, scatters = 0;
+  const sim::TraceOp* first_strided = nullptr;
+  for (const sim::TraceOp& op : trace->ops()) {
+    switch (op.kind) {
+      case sim::TraceOpKind::kLoadStrided:
+        ++strided_loads;
+        if (first_strided == nullptr) first_strided = &op;
+        EXPECT_EQ(op.n, 5u);
+        break;
+      case sim::TraceOpKind::kStoreStrided: ++strided_stores; break;
+      case sim::TraceOpKind::kLoadGather: ++gathers; break;
+      case sim::TraceOpKind::kStoreScatter: ++scatters; break;
+      default: break;
+    }
+  }
+  EXPECT_EQ(strided_loads, 3u);   // 8i, 8i + 4, vlse stride 12
+  EXPECT_EQ(strided_stores, 3u);  // 8i, 8i + 4, vsse stride 12
+  EXPECT_EQ(gathers, 1u);         // idx_perm stays per element
+  EXPECT_EQ(scatters, 1u);
+  ASSERT_NE(first_strided, nullptr);
+  EXPECT_EQ(first_strided->imm, 8);
+
+  sim::SimdProcessor pi(cfg);
+  sim::SimdProcessor pt(cfg);
+  pi.load_program(program);
+  pt.load_program(program);
+  pi.run();
+  trace->execute(pt.vector(), pt.dmem(), pt.config().cycle_model);
+  for (unsigned r = 0; r < 32; ++r) {
+    EXPECT_EQ(pt.vector().get_register(r), pi.vector().get_register(r))
+        << "v" << r;
+  }
+  std::vector<u8> mi(pi.dmem().size());
+  std::vector<u8> mt(pt.dmem().size());
+  pi.dmem().read_block(0, mi);
+  pt.dmem().read_block(0, mt);
+  EXPECT_EQ(mt, mi);
+
+  // The span is checked again, as one span, against the memory a replay
+  // is handed: one that ends inside the record's span rejects it.
+  sim::Memory short_mem(first_strided->aux + 20);
+  EXPECT_THROW(trace->execute_op(*first_strided, pt.vector(), short_mem,
+                                 pt.config().cycle_model,
+                                 pt.vector().file_data()),
+               SimError);
+}
+
+TEST(TraceFusion, StridedMemoryTransfersCheckTheirSpanOnce) {
+  sim::Memory mem(64);
+  for (u32 i = 0; i < 16; ++i) mem.write32(4 * i, 0x100 + i);
+  std::array<u8, 12> out{};
+  mem.read_strided(8, 16, 4, out);  // elements at 8, 24, 40
+  u32 words[3];
+  std::memcpy(words, out.data(), sizeof words);
+  EXPECT_EQ(words[0], 0x102u);
+  EXPECT_EQ(words[1], 0x106u);
+  EXPECT_EQ(words[2], 0x10Au);
+  // Ascending element order: with stride 0 the last element wins, as it
+  // does element by element.
+  const std::array<u8, 8> two = {1, 0, 0, 0, 2, 0, 0, 0};
+  mem.write_strided(60, 0, 4, two);
+  EXPECT_EQ(mem.read32(60), 2u);
+  // Out of bounds, misaligned base, misaligned stride, partial element.
+  EXPECT_THROW(mem.read_strided(40, 16, 4, out), SimError);
+  EXPECT_THROW(mem.read_strided(2, 16, 4, out), SimError);
+  EXPECT_THROW(mem.read_strided(0, 6, 4, out), SimError);
+  EXPECT_THROW(mem.write_strided(0, 8, 8, std::span(two).first(6)), SimError);
 }
 
 TEST(TraceFusion, NonFusibleProgramFallsBackToPerRecordReplay) {

@@ -75,15 +75,6 @@ bool parse_algo(const std::string& name, Algo& out) {
   return true;
 }
 
-bool parse_arch(const std::string& name, core::Arch& out) {
-  if (name == "64lmul1") out = core::Arch::k64Lmul1;
-  else if (name == "64lmul8") out = core::Arch::k64Lmul8;
-  else if (name == "32lmul8") out = core::Arch::k32Lmul8;
-  else if (name == "64fused") out = core::Arch::k64Fused;
-  else return false;
-  return true;
-}
-
 std::vector<u8> read_all(std::istream& in) {
   std::vector<u8> data;
   char buf[4096];
@@ -144,10 +135,13 @@ int main(int argc, char** argv) {
     } else if ((a == "-s" || a == "--sn") && has_next) {
       sn = cli::require_unsigned("kvx-batch", "--sn", argv[++i], 1, 6);
     } else if (a == "--arch" && has_next) {
-      if (!parse_arch(argv[++i], arch)) {
-        std::fprintf(stderr, "kvx-batch: unknown arch '%s'\n", argv[i]);
+      const auto parsed = core::parse_arch(argv[++i]);
+      if (!parsed) {
+        std::fprintf(stderr, "kvx-batch: unknown arch '%s' (accepted: %s)\n",
+                     argv[i], std::string(core::kArchNamesHelp).c_str());
         return kExitUsage;
       }
+      arch = *parsed;
     } else if (a == "--backend" && has_next) {
       const auto parsed = sim::parse_backend(argv[++i]);
       if (!parsed) {

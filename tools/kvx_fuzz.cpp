@@ -1,12 +1,14 @@
 // kvx-fuzz — differential fault-injection fuzzer for the batch engine.
 //
-//   kvx-fuzz [--seed N] [--jobs N] [--rate R] [--backend B]
+//   kvx-fuzz [--seed N] [--jobs N] [--rate R] [--backend B] [--arch A]
 //            [--postmortem DIR] [--quick] [-v]
 //     --seed N     master seed for job streams and fault plans  (default 1)
 //     --jobs N     jobs per engine configuration                (default 600)
 //     --rate R     injected-fault probability per decision      (default 1e-3)
 //     --backend B  restrict the matrix to one configured backend
 //                  (interpreter/trace/fused/host-simd/jit; default: all five)
+//     --arch A     accelerator architecture
+//                  (64lmul1/64lmul8/32lmul8/64fused; default 64lmul8)
 //     --postmortem DIR  write rate-capped post-mortem dumps to DIR on every
 //                  demotion/job failure and arm the crash handler (same as
 //                  exporting KVX_POSTMORTEM=DIR)
@@ -15,7 +17,8 @@
 //     -v           print one line per configuration
 //
 // Random job streams over all eight algorithms (SHA-3/SHAKE/KMAC) run
-// through a BatchHashEngine for every backend × SN × thread-count
+// through a BatchHashEngine of one architecture for every backend × SN ×
+// thread-count
 // combination with deterministic fault injection armed. Per configuration
 // the harness checks the engine's fail-soft contract:
 //   * every job that reports ok matches the host golden model bit-exactly
@@ -109,9 +112,11 @@ struct EngineCounterDeltas {
 int usage() {
   std::fprintf(stderr,
                "usage: kvx-fuzz [--seed N] [--jobs N] [--rate R] "
-               "[--backend B] [--postmortem DIR] [--quick] [-v]\n"
-               "  backends: %s\n",
-               std::string(sim::kBackendNamesHelp).c_str());
+               "[--backend B] [--arch A] [--postmortem DIR] [--quick] [-v]\n"
+               "  backends: %s\n"
+               "  archs: %s\n",
+               std::string(sim::kBackendNamesHelp).c_str(),
+               std::string(core::kArchNamesHelp).c_str());
   return kExitUsage;
 }
 
@@ -124,6 +129,7 @@ int main(int argc, char** argv) {
   bool quick = false;
   bool verbose = false;
   std::optional<sim::ExecBackend> only_backend;
+  core::Arch arch = core::Arch::k64Lmul8;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -142,6 +148,14 @@ int main(int argc, char** argv) {
                      argv[i], std::string(sim::kBackendNamesHelp).c_str());
         return kExitUsage;
       }
+    } else if (a == "--arch" && has_next) {
+      const auto parsed = core::parse_arch(argv[++i]);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr, "kvx-fuzz: unknown arch '%s' (expected %s)\n",
+                     argv[i], std::string(core::kArchNamesHelp).c_str());
+        return kExitUsage;
+      }
+      arch = *parsed;
     } else if (a == "--postmortem" && has_next) {
       // Same effect as exporting KVX_POSTMORTEM: auto dumps on demotions
       // and job failures, crash handler armed.
@@ -201,7 +215,7 @@ int main(int argc, char** argv) {
 
         EngineConfig cfg;
         cfg.threads = t;
-        cfg.accel = {core::Arch::k64Lmul8, 5 * sn, 24};
+        cfg.accel = {arch, 5 * sn, 24};
         cfg.accel.backend = backend;
         cfg.accel.fault_injector = std::make_shared<sim::FaultInjector>(plan);
 
@@ -283,8 +297,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("kvx-fuzz: %llu jobs over %llu configurations | %llu failed "
-              "(per-job) | %llu backend fallbacks | %d violations\n",
+  std::printf("kvx-fuzz: %s | %llu jobs over %llu configurations | %llu "
+              "failed (per-job) | %llu backend fallbacks | %d violations\n",
+              std::string(core::arch_name(arch)).c_str(),
               static_cast<unsigned long long>(total_jobs),
               static_cast<unsigned long long>(config_idx),
               static_cast<unsigned long long>(total_failed),

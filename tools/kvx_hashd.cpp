@@ -21,8 +21,10 @@
 //                         never aborts
 //     --postmortem DIR    crash-dump directory (default $KVX_POSTMORTEM or .)
 //
-// Prints "kvx-hashd: listening on ADDR:PORT" on stdout once accepting (the
-// line CI and kvx-loadgen wait for), runs until SIGINT/SIGTERM, then shuts
+// The engine requests the jit tier (demoting by itself where native code
+// is impossible). Prints "kvx-hashd: listening on ADDR:PORT (..., tier=T,
+// isa=I)" on stdout once accepting (the line CI and kvx-loadgen wait for;
+// T is the tier construction landed on), runs until SIGINT/SIGTERM, then shuts
 // down gracefully: intake stops, queued jobs retire, and the fail-soft
 // accounting invariant (submitted == completed + failed) is checked at
 // rest — a violation makes the exit code nonzero.
@@ -56,6 +58,9 @@ int main(int argc, char** argv) {
   cfg.port = 9877;
   cfg.engine.threads = 4;
   cfg.engine.accel = {core::Arch::k64Lmul8, 15, 24};  // SN = 3
+  // The fastest tier; the construction-time demotion chain lands hosts
+  // without AVX2 or x86-64 on host-simd (and below) by itself.
+  cfg.engine.accel.backend = sim::ExecBackend::kJit;
   cfg.engine.max_queue = 1024;
   std::string fault_spec;
   std::string dump_dir;
@@ -125,11 +130,17 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, handle_signal);
     std::signal(SIGPIPE, SIG_IGN);
 
+    // The tier construction actually landed on, and the host ISA it runs
+    // ("-" for tiers that use none).
+    const engine::EngineStats boot = server.engine().stats();
     std::printf("kvx-hashd: listening on %s:%u (%u shards x SN=%u, "
-                "max_queue=%zu)\n",
+                "max_queue=%zu, tier=%s, isa=%s)\n",
                 cfg.bind_addr.c_str(), unsigned{server.port()},
                 server.engine().threads(),
-                server.engine().lanes_per_shard(), cfg.engine.max_queue);
+                server.engine().lanes_per_shard(), cfg.engine.max_queue,
+                boot.effective_backend.c_str(),
+                boot.host_simd_isa.empty() ? "-"
+                                           : boot.host_simd_isa.c_str());
     std::fflush(stdout);  // the readiness line tools/CI wait for
 
     server.run();
