@@ -6,7 +6,6 @@
 #include "kvx/common/error.hpp"
 #include "kvx/common/strings.hpp"
 #include "kvx/obs/flight_recorder.hpp"
-#include "kvx/obs/trace_event.hpp"
 
 namespace kvx::core {
 
@@ -147,13 +146,6 @@ void VectorKeccak::note_fallback(sim::ExecBackend from, sim::ExecBackend to,
       static_cast<u16>((static_cast<u16>(from) << 8) |
                        static_cast<u16>(to)),
       is_injected_error(error) ? 1 : 0, obs::flight_hash(error));
-  obs::TraceEventSink& sink = obs::TraceEventSink::global();
-  if (sink.enabled()) {
-    sink.instant("sim", "backend_fallback",
-                 strfmt("{\"from\":\"%s\",\"to\":\"%s\"}",
-                        std::string(sim::backend_name(from)).c_str(),
-                        std::string(sim::backend_name(to)).c_str()));
-  }
 }
 
 void VectorKeccak::stage_states(std::span<const keccak::State> states) {

@@ -14,7 +14,7 @@ namespace kvx::engine {
 struct ShardStats {
   u64 jobs = 0;               ///< jobs completed (successfully) by this shard
   u64 failures = 0;           ///< jobs retired with a per-job error
-  u64 fallbacks = 0;          ///< backend demotions (fused→trace→interpreter)
+  u64 fallbacks = 0;          ///< backend demotions (jit→…→interpreter)
   u64 bytes = 0;              ///< message bytes hashed
   u64 dispatches = 0;         ///< batches popped from the queue
   u64 sim_cycles = 0;         ///< simulated accelerator cycles consumed

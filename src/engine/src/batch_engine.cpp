@@ -18,7 +18,6 @@
 #include "kvx/obs/metrics.hpp"
 #include "kvx/obs/postmortem.hpp"
 #include "kvx/obs/process_metrics.hpp"
-#include "kvx/obs/trace_event.hpp"
 #include "kvx/sim/host_simd.hpp"
 #include "kvx/sim/jit/jit_trace.hpp"
 
@@ -61,7 +60,8 @@ struct EngineMetrics {
         r.counter("kvx_engine_job_failures_total",
                   "Jobs retired with a per-job error"),
         r.counter("kvx_engine_fallbacks_total",
-                  "Backend demotions (fused->trace->interpreter)"),
+                  "Backend demotions (jit->host-simd->fused->trace->"
+                  "interpreter)"),
         r.counter("kvx_engine_bytes_hashed_total", "Message bytes hashed"),
         r.counter("kvx_engine_dispatches_total",
                   "Job batches dispatched to shard accelerators"),
@@ -365,11 +365,6 @@ u64 BatchHashEngine::submit(HashJob job) {
   EngineMetrics::get().jobs_submitted.inc();
   obs::FlightRecorder::global().record(obs::FlightEventType::kJobSubmit, 0,
                                        seq, 1);
-  obs::TraceEventSink& sink = obs::TraceEventSink::global();
-  if (sink.enabled()) {
-    sink.instant("engine", "job_submit",
-                 strfmt("{\"seq\":%llu}", static_cast<unsigned long long>(seq)));
-  }
   if (!invalid.empty()) {
     // Malformed: retire right here as a per-job failure (full accounting,
     // no queue round-trip) so batch-mates are untouched.
@@ -437,12 +432,6 @@ u64 BatchHashEngine::submit_batch(std::span<const HashJob> jobs) {
   if (valid != jobs.size()) {
     notify_retire();
     obs::pm::auto_dump("job_failure");
-  }
-  obs::TraceEventSink& sink = obs::TraceEventSink::global();
-  if (sink.enabled()) {
-    sink.instant("engine", "batch_submit",
-                 strfmt("{\"first_seq\":%llu,\"jobs\":%zu}",
-                        static_cast<unsigned long long>(first), jobs.size()));
   }
   if (valid == 0) return first;
   std::vector<QueuedJob> items;
@@ -663,8 +652,6 @@ void BatchHashEngine::process_batch(Shard& shard,
   const core::BatchStats before = accel.stats();
   obs::FlightRecorder& fr = obs::FlightRecorder::global();
   fr.record(obs::FlightEventType::kDispatch, 0, batch.size(), shard.index);
-  obs::TraceSpan dispatch_span(obs::TraceEventSink::global(), "engine",
-                               "dispatch");
 
   // Partition the run into dispatch groups (order-preserving); each group
   // goes to the accelerator as one batch so equal-length jobs share lanes.
@@ -766,19 +753,6 @@ void BatchHashEngine::process_batch(Shard& shard,
   m.step_chi_iota.inc(steps.chi_iota);
   m.step_absorb.inc(steps.absorb);
   m.step_other.inc(steps.other);
-
-  obs::TraceEventSink& sink = obs::TraceEventSink::global();
-  if (sink.enabled()) {
-    dispatch_span.set_args(
-        strfmt("{\"jobs\":%zu,\"failed\":%zu,\"bytes\":%llu,"
-               "\"sim_cycles\":%llu}",
-               batch.size(), failed_jobs,
-               static_cast<unsigned long long>(bytes),
-               static_cast<unsigned long long>(cycles)));
-    sink.instant("engine", "job_retire",
-                 strfmt("{\"jobs\":%zu,\"first_seq\":%llu}", batch.size(),
-                        static_cast<unsigned long long>(batch.front().seq)));
-  }
 
   // One retire event covers the whole batch; failed jobs additionally get
   // their own kJobFail event so kvx-doctor can anchor a timeline window on

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "kvx/obs/flight_recorder.hpp"
-#include "kvx/obs/trace_event.hpp"
 
 namespace kvx::engine {
 
@@ -18,17 +17,6 @@ constexpr auto kParkInterval = std::chrono::milliseconds(1);
 /// Ring capacity per shard when the queue is unbounded: deep enough that
 /// producers only park when every worker is saturated with work.
 constexpr usize kDefaultRingCapacity = 2048;
-
-/// Sample the total in-flight depth onto the Chrome counter track. The
-/// strict-at-quiescence gauges are the callback-bound registry gauges the
-/// engine owns (aggregated on scrape, so they cannot go stale); this trace
-/// counter is a timeline sample and is allowed to be approximate.
-void trace_depth(u64 depth) {
-  obs::TraceEventSink& sink = obs::TraceEventSink::global();
-  if (sink.enabled()) {
-    sink.counter("engine", "queue_depth", static_cast<double>(depth));
-  }
-}
 
 /// Pop up to `max_items` jobs from one ring into `out`.
 usize take_run(JobRing& ring, usize max_items, std::vector<QueuedJob>& out) {
@@ -139,7 +127,6 @@ bool ShardedJobQueue::push(QueuedJob item) {
       continue;
     }
     if (try_push_any(item)) {
-      trace_depth(size_.load(std::memory_order_relaxed));
       wake_consumers(/*all=*/false);
       return true;
     }
@@ -181,7 +168,6 @@ usize ShardedJobQueue::push_bulk(std::span<QueuedJob> items, usize chunk) {
     // Sleepers are woken once per chunk, not once per job — the bulk API's
     // synchronization amortization.
     wake_consumers(/*all=*/in_chunk > 1);
-    trace_depth(size_.load(std::memory_order_relaxed));
   }
   return pushed;
 }
@@ -205,7 +191,6 @@ usize ShardedJobQueue::pop_bulk(usize worker, usize max_items,
     }
     if (got > 0) {
       release(got);
-      trace_depth(size_.load(std::memory_order_relaxed));
       wake_producers();
       return got;
     }

@@ -8,7 +8,9 @@
 // with: job submit/retire/failure, dispatch, backend demotions (with
 // from/to tier and an error hash), trace-cache compiles and hits,
 // fault-injector firings and queue park/steal all leave a trace here at a
-// cost of one relaxed fetch_add plus a handful of relaxed stores.
+// cost of one relaxed fetch_add plus a handful of relaxed stores. The same
+// rings are the process's only event stream: chrome_trace_json() exports
+// them as a Chrome/Perfetto timeline (kvx-batch --trace-out).
 //
 // Concurrency model:
 //  * Writers: each ring has exactly one owner thread at a time (claimed on
@@ -30,6 +32,8 @@
 #pragma once
 
 #include <atomic>
+#include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -56,6 +60,17 @@ enum class FlightEventType : u16 {
 
 /// Stable lower-case name ("job_submit", "backend_demotion", ...).
 [[nodiscard]] std::string_view flight_event_name(FlightEventType t) noexcept;
+
+/// Payload decoders shared by kvx-doctor and chrome_trace_json(); each
+/// returns a view of a string literal, so .data() is NUL-terminated.
+/// kTraceCompile/kTraceReject code: "trace" / "fused" / "host-simd" / "jit".
+[[nodiscard]] std::string_view artifact_tier_name(u16 tier) noexcept;
+/// One byte of the kBackendDemotion code: sim::ExecBackend's backend_name().
+[[nodiscard]] std::string_view backend_tier_name(u16 tier) noexcept;
+/// kFaultInjected code (sim::FaultKind bit): "regfile_bit_flip", ...
+[[nodiscard]] std::string_view fault_kind_name(u16 bit) noexcept;
+/// kFaultInjected a0 (sim::FaultSite): "trace_compile" / "execute".
+[[nodiscard]] std::string_view fault_site_name(u64 site) noexcept;
 
 /// FNV-1a 64 of an error string — events carry the hash, not the text, so
 /// recording never allocates. kvx-doctor matches hashes across events.
@@ -128,6 +143,10 @@ class FlightRecorder {
   [[nodiscard]] std::vector<FlightEvent> snapshot_merged(
       std::vector<RingInfo>* rings = nullptr) const;
 
+  /// snapshot_merged() exported as Chrome/Perfetto trace JSON (see the
+  /// free chrome_trace_json() below), ring wraps and dropped() included.
+  [[nodiscard]] std::string chrome_trace_json() const;
+
   /// Events dropped because more than kMaxRings threads recorded.
   [[nodiscard]] u64 dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
@@ -159,5 +178,20 @@ class FlightRecorder {
   std::atomic<u64> dropped_{0};
   std::atomic<bool> enabled_{true};
 };
+
+/// Chrome/Perfetto trace JSON ({"traceEvents":[...]}) of a merged timeline:
+///  * kTraceCompile -> 'X' span ending at the event, lasting a0 ns, named
+///    trace_compile / trace_fuse / host_simd_lower / jit_emit by tier;
+///  * kDispatch + the next kJobRetire on its ring -> 'X' "dispatch" span
+///    (jobs, failed, shard); a dispatch whose retire is missing (in flight
+///    or overwritten) stays an instant;
+///  * everything else -> an 'i' instant with decoded args.
+/// tid is the ring index, ts is µs from the earliest event. Each wrapped
+/// ring (written > stored) and `dropped` (events of threads that got no
+/// ring, on tid kMaxRings) become "kvx_dropped_events" entries, so a
+/// truncated window is never silent.
+[[nodiscard]] std::string chrome_trace_json(
+    std::span<const FlightEvent> events,
+    std::span<const FlightRecorder::RingInfo> rings = {}, u64 dropped = 0);
 
 }  // namespace kvx::obs

@@ -33,6 +33,41 @@ std::string_view flight_event_name(FlightEventType t) noexcept {
   return "unknown";
 }
 
+std::string_view artifact_tier_name(u16 tier) noexcept {
+  switch (tier) {
+    case 0: return "trace";
+    case 1: return "fused";
+    case 2: return "host-simd";
+    case 3: return "jit";
+    default: return "?";
+  }
+}
+
+std::string_view backend_tier_name(u16 tier) noexcept {
+  switch (tier) {
+    case 0: return "interpreter";
+    case 1: return "trace";
+    case 2: return "fused";
+    case 3: return "host-simd";
+    case 4: return "jit";
+    default: return "?";
+  }
+}
+
+std::string_view fault_kind_name(u16 bit) noexcept {
+  switch (bit) {
+    case 1u << 0: return "regfile_bit_flip";
+    case 1u << 1: return "memory_bit_flip";
+    case 1u << 2: return "sim_fault";
+    case 1u << 3: return "compile_fail";
+    default: return "?";
+  }
+}
+
+std::string_view fault_site_name(u64 site) noexcept {
+  return site == 0 ? "trace_compile" : "execute";
+}
+
 u64 flight_hash(std::string_view s) noexcept {
   u64 h = 0xCBF29CE484222325ull;
   for (const char c : s) {

@@ -10,7 +10,6 @@
 #include "kvx/keccak/permutation.hpp"
 #include "kvx/obs/flight_recorder.hpp"
 #include "kvx/obs/metrics.hpp"
-#include "kvx/obs/trace_event.hpp"
 #include "kvx/sim/host_simd.hpp"
 #include "kvx/sim/jit/jit_trace.hpp"
 #include "kvx/sim/trace_fusion.hpp"
@@ -952,8 +951,6 @@ obs::Gauge& bytes_gauge() {
 void hit_event() {
   hits().inc();
   obs::FlightRecorder::global().record(obs::FlightEventType::kTraceCacheHit);
-  obs::TraceEventSink& sink = obs::TraceEventSink::global();
-  if (sink.enabled()) sink.instant("cache", "trace_cache_hit");
 }
 
 /// Flight-recorder artifact tiers (dump format: kTraceCompile/kTraceReject
@@ -988,7 +985,6 @@ std::shared_ptr<const CompiledTrace> TraceCache::lookup_or_compile_locked(
     cache_obs::hit_event();
     throw SimError(it->second);
   }
-  obs::TraceSpan span(obs::TraceEventSink::global(), "cache", "trace_compile");
   const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed_ns = [&t0] {
     return static_cast<u64>(
@@ -1041,7 +1037,6 @@ std::shared_ptr<const FusedTrace> TraceCache::lookup_or_fuse_locked(
   // Share the recording with the plain-trace entry: one compile serves both
   // backends, but the fused artifact is cached under its own key.
   auto base = lookup_or_compile_locked(base_key, program, cfg, opts);
-  obs::TraceSpan span(obs::TraceEventSink::global(), "cache", "trace_fuse");
   const auto t0 = std::chrono::steady_clock::now();
   auto fused = fuse_trace(std::move(base));
   const u64 ns = static_cast<u64>(
@@ -1085,8 +1080,6 @@ std::shared_ptr<const HostSimdTrace> TraceCache::lookup_or_lower_locked(
   // Share the fused artifact (and through it the recording) with the lower
   // tiers; only the lowering plan is built (and cached) per this backend.
   auto fused = lookup_or_fuse_locked(base_key, program, cfg, opts);
-  obs::TraceSpan span(obs::TraceEventSink::global(), "cache",
-                     "host_simd_lower");
   const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed_ns = [&t0] {
     return static_cast<u64>(
@@ -1144,7 +1137,6 @@ std::shared_ptr<const JitTrace> TraceCache::get_or_compile_jit(
   // state, and an unsupported-ISA resolution is already cheap to rediscover
   // (lower_jit throws before emitting a byte).
   auto hs = lookup_or_lower_locked(base_key, program, cfg, opts);
-  obs::TraceSpan span(obs::TraceEventSink::global(), "cache", "jit_emit");
   const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed_ns = [&t0] {
     return static_cast<u64>(

@@ -13,6 +13,11 @@
 //    build info, events, metrics and the per-shard engine mirror all
 //    survive the binary format;
 //  * histogram exemplars — the bucket max carries its flight sequence;
+//  * the Chrome/Perfetto export (kvx-batch --trace-out): valid JSON, 'X'
+//    compile and dispatch spans with args, 'i' instants, disabled
+//    recording leaves nothing, wrapped rings are reported; a jit engine
+//    exports one span per compile tier and per dispatch; the payload
+//    decoders agree with the simulator's own names;
 //  * death tests: SIGABRT (and SIGSEGV where no sanitizer intercepts it)
 //    leave a parseable crash dump with the right signal recorded.
 #include <gtest/gtest.h>
@@ -21,10 +26,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -33,6 +41,11 @@
 #include "kvx/obs/flight_recorder.hpp"
 #include "kvx/obs/metrics.hpp"
 #include "kvx/obs/postmortem.hpp"
+#include "kvx/sim/compiled_trace.hpp"
+#include "kvx/sim/exec_backend.hpp"
+#include "kvx/sim/fault_injector.hpp"
+#include "kvx/sim/host_simd.hpp"
+#include "kvx/sim/jit/jit_trace.hpp"
 
 namespace kvx {
 namespace {
@@ -206,6 +219,315 @@ TEST(Histogram, ExemplarTracksBucketMaxFlightSeq) {
   EXPECT_EQ(ex[1].value, 150u);
   EXPECT_EQ(ex[1].flight_seq, 11u);
   EXPECT_EQ(ex[2].flight_seq, 0u);  // +Inf bucket untouched
+}
+
+// ---------------------------------------------------------------------------
+// Chrome trace export
+
+/// Minimal JSON syntax checker (objects, arrays, strings, numbers,
+/// literals) — enough to prove the exporter's output parses without
+/// pulling a JSON library into the tests.
+class JsonChecker {
+ public:
+  explicit JsonChecker(std::string_view s) : s_(s) {}
+  bool valid() {
+    ws();
+    if (!value()) return false;
+    ws();
+    return i_ == s_.size();
+  }
+
+ private:
+  bool at(char c) const { return i_ < s_.size() && s_[i_] == c; }
+  void ws() {
+    while (i_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[i_]))) {
+      ++i_;
+    }
+  }
+  bool value() {
+    if (at('{')) return container('}', /*object=*/true);
+    if (at('[')) return container(']', /*object=*/false);
+    if (at('"')) return string();
+    for (const std::string_view lit : {"true", "false", "null"}) {
+      if (s_.substr(i_, lit.size()) == lit) {
+        i_ += lit.size();
+        return true;
+      }
+    }
+    return number();
+  }
+  bool container(char close, bool object) {
+    ++i_;
+    ws();
+    if (at(close)) return ++i_, true;
+    for (;;) {
+      if (object) {
+        if (!string()) return false;
+        ws();
+        if (!at(':')) return false;
+        ++i_;
+        ws();
+      }
+      if (!value()) return false;
+      ws();
+      if (at(close)) return ++i_, true;
+      if (!at(',')) return false;
+      ++i_;
+      ws();
+    }
+  }
+  bool string() {
+    if (!at('"')) return false;
+    for (++i_; i_ < s_.size(); ++i_) {
+      if (s_[i_] == '\\') {
+        ++i_;
+      } else if (s_[i_] == '"') {
+        return ++i_, true;
+      } else if (static_cast<unsigned char>(s_[i_]) < 0x20) {
+        return false;
+      }
+    }
+    return false;
+  }
+  bool number() {
+    const usize start = i_;
+    if (at('-')) ++i_;
+    while (i_ < s_.size() &&
+           (std::isdigit(static_cast<unsigned char>(s_[i_])) ||
+            std::strchr(".eE+-", s_[i_]) != nullptr)) {
+      ++i_;
+    }
+    return i_ > start &&
+           std::isdigit(static_cast<unsigned char>(s_[i_ - 1])) != 0;
+  }
+
+  std::string_view s_;
+  usize i_ = 0;
+};
+
+usize count(const std::string& hay, const std::string& needle) {
+  usize n = 0;
+  for (usize p = hay.find(needle); p != std::string::npos;
+       p = hay.find(needle, p + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+FlightEvent event(u64 seq, u64 ns, FlightEventType type, u32 ring,
+                  u16 code = 0, u64 a0 = 0, u64 a1 = 0) {
+  FlightEvent e;
+  e.seq = seq;
+  e.ns = ns;
+  e.type_raw = static_cast<u16>(type);
+  e.code = code;
+  e.ring = ring;
+  e.a0 = a0;
+  e.a1 = a1;
+  return e;
+}
+
+TEST(ChromeTrace, SpansInstantsAndDropsFormValidJson) {
+  const u16 jit_to_hs = (4 << 8) | 3;
+  const std::vector<FlightEvent> events = {
+      // jit emission that took 2 µs and finished at ns 5000.
+      event(1, 5000, FlightEventType::kTraceCompile, 0, 3, 2000),
+      event(2, 3000, FlightEventType::kDispatch, 1, 0, 4, 1),
+      event(3, 4000, FlightEventType::kBackendDemotion, 1, jit_to_hs, 1, 0xAB),
+      event(4, 7000, FlightEventType::kJobRetire, 1, 1, 10, 4),
+      // In flight (or its retire was overwritten): stays an instant.
+      event(5, 8000, FlightEventType::kDispatch, 2, 0, 2, 0),
+      event(6, 9000, FlightEventType::kQueuePark, 2, 1),
+  };
+  const std::vector<FlightRecorder::RingInfo> rings = {
+      {0, 1, 1}, {1, FlightRecorder::kRingCapacity + 76,
+                  FlightRecorder::kRingCapacity}};
+  const std::string json = obs::chrome_trace_json(events, rings, 3);
+
+  // The checker itself rejects the slips a hand-rolled writer makes.
+  EXPECT_FALSE(JsonChecker("{\"a\":[1,],\"b\":2}").valid());
+  EXPECT_FALSE(JsonChecker("{\"a\":1}{").valid());
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
+  // ts counts µs from the earliest start (the compile span's, 3000 ns).
+  EXPECT_NE(json.find("\"ph\":\"X\",\"cat\":\"cache\",\"name\":\"jit_emit\","
+                      "\"pid\":1,\"tid\":0,\"ts\":0.000,\"dur\":2.000,"
+                      "\"args\":{\"seq\":1,\"tier\":\"jit\"}}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"ph\":\"X\",\"cat\":\"engine\",\"name\":\"dispatch\","
+                      "\"pid\":1,\"tid\":1,\"ts\":0.000,\"dur\":4.000,"
+                      "\"args\":{\"seq\":2,\"jobs\":4,\"shard\":1,"
+                      "\"failed\":1}}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"ph\":\"i\",\"cat\":\"sim\","
+                      "\"name\":\"backend_demotion\",\"pid\":1,\"tid\":1,"
+                      "\"ts\":1.000,\"args\":{\"seq\":3,\"from\":\"jit\","
+                      "\"to\":\"host-simd\",\"injected\":true,"
+                      "\"err_hash\":\"00000000000000ab\"}}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"job_retire\",\"pid\":1,\"tid\":1,"
+                      "\"ts\":4.000,\"args\":{\"seq\":4,\"first_seq\":10,"
+                      "\"jobs\":4,\"failed\":1}}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"ph\":\"i\",\"cat\":\"engine\",\"name\":\"dispatch\","
+                      "\"pid\":1,\"tid\":2,\"ts\":5.000,"
+                      "\"args\":{\"seq\":5,\"jobs\":2,\"shard\":0}}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"args\":{\"seq\":6,\"side\":\"producer\"}"),
+            std::string::npos);
+  EXPECT_EQ(count(json, "\"ph\":\"X\""), 2u);
+  // Truncation is never silent: ring 1 wrapped by 76 events, 3 events
+  // found no ring at all (reported on the pseudo-track kMaxRings).
+  EXPECT_NE(json.find("\"name\":\"kvx_dropped_events\",\"pid\":1,\"tid\":1,"
+                      "\"ts\":0.000,\"args\":{\"dropped\":76}}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"tid\":" + std::to_string(FlightRecorder::kMaxRings) +
+                      ",\"ts\":0.000,\"args\":{\"dropped\":3}}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(count(json, "kvx_dropped_events"), 2u);
+
+  const std::string empty = obs::chrome_trace_json({});
+  EXPECT_TRUE(JsonChecker(empty).valid()) << empty;
+  EXPECT_EQ(empty.find("kvx_dropped_events"), std::string::npos);
+}
+
+TEST(ChromeTrace, DisabledRecordingExportsNothing) {
+  FlightRecorder& fr = FlightRecorder::global();
+  fr.set_enabled(false);
+  (void)fr.record(FlightEventType::kJobSubmit, 0, kTag, 0xD15AB1ED);
+  fr.set_enabled(true);
+  (void)fr.record(FlightEventType::kJobSubmit, 0, kTag, 0xE4AB1ED);
+  const std::string json = fr.chrome_trace_json();
+  EXPECT_TRUE(JsonChecker(json).valid());
+  EXPECT_EQ(json.find(std::to_string(0xD15AB1EDull)), std::string::npos);
+  EXPECT_NE(json.find(std::to_string(0xE4AB1EDull)), std::string::npos);
+}
+
+TEST(ChromeTrace, WrappedLiveRingReportsDroppedEvents) {
+  FlightRecorder& fr = FlightRecorder::global();
+  std::thread writer([&] {
+    for (u64 i = 0; i < FlightRecorder::kRingCapacity + 100; ++i) {
+      (void)fr.record(FlightEventType::kTraceCacheHit, 0, kTag, i);
+    }
+  });
+  writer.join();
+
+  std::vector<FlightRecorder::RingInfo> rings;
+  const std::vector<FlightEvent> events = fr.snapshot_merged(&rings);
+  const std::string json = obs::chrome_trace_json(events, rings, fr.dropped());
+  EXPECT_TRUE(JsonChecker(json).valid());
+  usize wrapped = 0;
+  for (const FlightRecorder::RingInfo& r : rings) {
+    if (r.written == r.stored) continue;
+    ++wrapped;
+    EXPECT_EQ(r.stored, FlightRecorder::kRingCapacity);
+    EXPECT_NE(json.find("\"name\":\"kvx_dropped_events\",\"pid\":1,\"tid\":" +
+                        std::to_string(r.index) + ",\"ts\":0.000,\"args\":{"
+                        "\"dropped\":" + std::to_string(r.written - r.stored) +
+                        "}}"),
+              std::string::npos);
+  }
+  EXPECT_GE(wrapped, 1u);
+  EXPECT_NE(fr.chrome_trace_json().find("kvx_dropped_events"),
+            std::string::npos);
+}
+
+bool jit_emits_on_this_host() {
+  return sim::jit_supported() &&
+         (sim::host_simd_isa_available(sim::HostSimdIsa::kAvx2) ||
+          sim::host_simd_isa_available(sim::HostSimdIsa::kAvx512));
+}
+
+TEST(ChromeTrace, JitEngineExportsEveryCompileTierAndDispatch) {
+  if (!jit_emits_on_this_host()) {
+    GTEST_SKIP() << "jit backend cannot emit on this build/host";
+  }
+  // A cold cache makes the engine's warm-up compile all four tiers.
+  sim::TraceCache::global().clear();
+  FlightRecorder& fr = FlightRecorder::global();
+  const u64 start = fr.record(FlightEventType::kJobSubmit, 0, kTag, 0);
+  {
+    engine::EngineConfig cfg;
+    cfg.threads = 2;
+    cfg.accel = {core::Arch::k64Lmul8, 15, 24};
+    cfg.accel.backend = sim::ExecBackend::kJit;
+    engine::BatchHashEngine engine(cfg);
+    std::vector<engine::HashJob> jobs(24);
+    for (usize i = 0; i < jobs.size(); ++i) {
+      jobs[i].algo = engine::Algo::kSha3_256;
+      jobs[i].message.assign(100 + i, static_cast<u8>(i));
+    }
+    engine.submit_all(jobs);
+    for (const auto& r : engine.drain_results()) ASSERT_TRUE(r.ok()) << r.error;
+  }
+
+  std::vector<FlightEvent> window;
+  for (const FlightEvent& e : fr.snapshot_merged()) {
+    if (e.seq > start) window.push_back(e);
+  }
+  // Artifact codes follow the cache's compile order: the jit lookup lowers,
+  // which fuses, which compiles — each records on completion.
+  std::vector<std::string_view> tiers;
+  usize dispatches = 0;
+  for (const FlightEvent& e : window) {
+    if (e.type() == FlightEventType::kTraceCompile) {
+      tiers.push_back(obs::artifact_tier_name(e.code));
+    }
+    if (e.type() == FlightEventType::kDispatch) ++dispatches;
+  }
+  EXPECT_EQ(tiers, (std::vector<std::string_view>{"trace", "fused",
+                                                  "host-simd", "jit"}));
+
+  const std::string json = obs::chrome_trace_json(window);
+  EXPECT_TRUE(JsonChecker(json).valid());
+  for (const char* name :
+       {"trace_compile", "trace_fuse", "host_simd_lower", "jit_emit"}) {
+    EXPECT_EQ(count(json, std::string("\"ph\":\"X\",\"cat\":\"cache\","
+                                      "\"name\":\"") + name + "\""),
+              1u)
+        << name;
+  }
+  EXPECT_GT(dispatches, 0u);
+  EXPECT_EQ(
+      count(json, "\"ph\":\"X\",\"cat\":\"engine\",\"name\":\"dispatch\""),
+      dispatches);
+}
+
+TEST(FlightDecoders, AgreeWithSimulatorNames) {
+  using sim::ExecBackend;
+  for (const ExecBackend b :
+       {ExecBackend::kInterpreter, ExecBackend::kCompiledTrace,
+        ExecBackend::kFusedTrace, ExecBackend::kHostSimd, ExecBackend::kJit}) {
+    EXPECT_EQ(obs::backend_tier_name(static_cast<u16>(b)),
+              sim::backend_name(b));
+  }
+  EXPECT_EQ(obs::backend_tier_name(static_cast<u16>(ExecBackend::kJit) + 1),
+            "?");
+  // Artifact tier t is the artifact the backend one above the interpreter
+  // runs: 0 trace, 1 fused, 2 host-simd, 3 jit.
+  for (u16 t = 0; t < 4; ++t) {
+    EXPECT_EQ(obs::artifact_tier_name(t),
+              sim::backend_name(static_cast<ExecBackend>(t + 1)));
+  }
+  EXPECT_EQ(obs::artifact_tier_name(4), "?");
+  EXPECT_EQ(obs::fault_kind_name(
+                static_cast<u16>(sim::FaultKind::kRegfileBitFlip)),
+            "regfile_bit_flip");
+  EXPECT_EQ(
+      obs::fault_kind_name(static_cast<u16>(sim::FaultKind::kCompileFail)),
+      "compile_fail");
+  EXPECT_EQ(obs::fault_site_name(
+                static_cast<u64>(sim::FaultSite::kTraceCompile)),
+            "trace_compile");
+  EXPECT_EQ(obs::fault_site_name(static_cast<u64>(sim::FaultSite::kExecute)),
+            "execute");
 }
 
 // ---------------------------------------------------------------------------

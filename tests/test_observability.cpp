@@ -1,11 +1,10 @@
-// Tests for the observability layer: the metrics registry, the Chrome
-// trace-event sink, the marker helpers and — most importantly — per-step
-// cycle attribution. The paper's claims are cycle-exact, so the attribution
-// invariants are too: every cycle of the permutation window lands in
-// exactly one step bucket (θ + ρπ + χι + absorb + other == total), the
-// breakdown is bit-identical across all three execution backends, and the
-// loop-program totals agree with the single-round measurements the paper's
-// tables are built from.
+// Tests for the observability layer: the metrics registry, the marker
+// helpers and — most importantly — per-step cycle attribution. The paper's
+// claims are cycle-exact, so the attribution invariants are too: every
+// cycle of the permutation window lands in exactly one step bucket
+// (θ + ρπ + χι + absorb + other == total), the breakdown is bit-identical
+// across all three execution backends, and the loop-program totals agree
+// with the single-round measurements the paper's tables are built from.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -19,7 +18,6 @@
 #include "kvx/engine/batch_engine.hpp"
 #include "kvx/obs/metrics.hpp"
 #include "kvx/obs/process_metrics.hpp"
-#include "kvx/obs/trace_event.hpp"
 #include "kvx/sim/processor.hpp"
 
 namespace kvx {
@@ -177,46 +175,6 @@ TEST(Metrics, BuildInfoAndProcessMetricsExposition) {
 #if defined(__linux__)
   EXPECT_GT(rss.gauge_value, 0.0);
 #endif
-}
-
-// ---------------------------------------------------------------------------
-// Trace-event sink
-
-TEST(TraceEvents, RecordsAndSerializes) {
-  obs::TraceEventSink sink;
-  EXPECT_FALSE(sink.enabled());
-  sink.instant("t", "ignored_while_disabled");  // no-op
-  sink.enable();
-  sink.instant("t", "hit", "{\"k\":1}");
-  sink.counter("t", "depth", 4.0);
-  {
-    obs::TraceSpan span(sink, "t", "work");
-    span.set_args("{\"n\":2}");
-  }
-  sink.disable();
-  sink.instant("t", "also_ignored");
-
-  const std::string json = sink.to_json();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"hit\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"n\":2}"), std::string::npos);
-  EXPECT_EQ(json.find("ignored"), std::string::npos);
-  EXPECT_EQ(sink.dropped(), 0u);
-
-  sink.clear();
-  EXPECT_EQ(sink.to_json().find("\"hit\""), std::string::npos);
-}
-
-TEST(TraceEvents, RingWrapReportsDrops) {
-  obs::TraceEventSink sink;
-  sink.enable();
-  constexpr usize kOverfill = (1 << 14) + 100;
-  for (usize i = 0; i < kOverfill; ++i) sink.instant("t", "e");
-  sink.disable();
-  EXPECT_EQ(sink.dropped(), 100u);
-  EXPECT_NE(sink.to_json().find("kvx_dropped_events"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

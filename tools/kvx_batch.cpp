@@ -25,8 +25,9 @@
 //                        p50/p99/p99.9/max job latency
 //     --metrics-json F   write the metrics-registry JSON snapshot to F
 //                        ("-" = stdout); see docs/observability.md
-//     --trace-out F      record Chrome trace_event JSON to F (open in
-//                        Perfetto or chrome://tracing)
+//     --trace-out F      write the flight recorder's event timeline to F
+//                        as Chrome trace JSON (open in Perfetto or
+//                        chrome://tracing)
 //
 // Files are hashed in submission order; "-" reads stdin. Output format
 // matches sha3sum: "<hex digest>  <name>". Jobs fail individually: a failed
@@ -48,9 +49,9 @@
 #include "kvx/common/hex.hpp"
 #include "kvx/common/rng.hpp"
 #include "kvx/engine/batch_engine.hpp"
+#include "kvx/obs/flight_recorder.hpp"
 #include "kvx/obs/metrics.hpp"
 #include "kvx/sim/fault_injector.hpp"
-#include "kvx/obs/trace_event.hpp"
 
 namespace {
 
@@ -61,6 +62,18 @@ using namespace kvx::engine;
 constexpr int kExitOk = 0;       ///< every job hashed (and verified)
 constexpr int kExitRuntime = 1;  ///< I/O, verify, engine or per-job failure
 constexpr int kExitUsage = 2;    ///< malformed command line
+
+/// Write `text` plus a newline to `path`; reports the failure on stderr.
+bool write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text << '\n';
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "kvx-batch: cannot write '%s'\n", path.c_str());
+    return false;
+  }
+  return true;
+}
 
 bool parse_algo(const std::string& name, Algo& out) {
   if (name == "sha3-224") out = Algo::kSha3_224;
@@ -253,9 +266,6 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
   }
-  // Tracing must be live before the engine is constructed so that the
-  // backend compile/fuse spans of the warm-up compilation are captured.
-  if (!trace_out_path.empty()) obs::TraceEventSink::global().enable();
   bool any_failed = false;
   try {
     BatchHashEngine engine(cfg);
@@ -359,19 +369,16 @@ int main(int argc, char** argv) {
       if (metrics_json_path == "-") {
         std::fwrite(json.data(), 1, json.size(), stdout);
         std::fputc('\n', stdout);
-      } else {
-        std::ofstream out(metrics_json_path, std::ios::binary);
-        if (!out) {
-          std::fprintf(stderr, "kvx-batch: cannot write '%s'\n",
-                       metrics_json_path.c_str());
-          return kExitRuntime;
-        }
-        out << json << '\n';
+      } else if (!write_file(metrics_json_path, json)) {
+        return kExitRuntime;
       }
     }
-    if (!trace_out_path.empty()) {
-      obs::TraceEventSink::global().disable();
-      obs::TraceEventSink::global().write_json(trace_out_path);
+    // The flight recorder is always on, so the warm-up compiles are already
+    // in its rings; --trace-out only exports them.
+    if (!trace_out_path.empty() &&
+        !write_file(trace_out_path,
+                    obs::FlightRecorder::global().chrome_trace_json())) {
+      return kExitRuntime;
     }
   } catch (const Error& e) {
     std::fprintf(stderr, "kvx-batch: %s\n", e.what());

@@ -39,7 +39,6 @@
 #include "kvx/common/error.hpp"
 #include "kvx/obs/flight_recorder.hpp"
 #include "kvx/obs/postmortem.hpp"
-#include "kvx/sim/exec_backend.hpp"
 
 namespace {
 
@@ -50,31 +49,6 @@ using obs::FlightEventType;
 constexpr int kExitOk = 0;
 constexpr int kExitFail = 1;
 constexpr int kExitUsage = 2;
-
-const char* artifact_tier_name(u16 tier) {
-  switch (tier) {
-    case 0: return "trace";
-    case 1: return "fused";
-    case 2: return "host-simd";
-    case 3: return "jit";
-    default: return "?";
-  }
-}
-
-const char* backend_tier_name(u16 tier) {
-  if (tier > static_cast<u16>(sim::ExecBackend::kJit)) return "?";
-  return sim::backend_name(static_cast<sim::ExecBackend>(tier)).data();
-}
-
-const char* fault_kind_name(u16 bit) {
-  switch (bit) {
-    case 1u << 0: return "regfile_bit_flip";
-    case 1u << 1: return "memory_bit_flip";
-    case 1u << 2: return "sim_fault";
-    case 1u << 3: return "compile_fail";
-    default: return "?";
-  }
-}
 
 /// One line per event: seq, ring, name and the decoded per-type payload.
 void print_event(const FlightEvent& e, const char* marker) {
@@ -96,24 +70,29 @@ void print_event(const FlightEvent& e, const char* marker) {
     case FlightEventType::kDispatch:
       std::printf("jobs=%llu shard=%llu", ull(e.a0), ull(e.a1));
       break;
-    case FlightEventType::kBackendDemotion:
+    case FlightEventType::kBackendDemotion: {
+      const auto from = static_cast<u16>(e.code >> 8);
+      const auto to = static_cast<u16>(e.code & 0xFF);
       std::printf("%s -> %s%s err_hash=%016llx",
-                  backend_tier_name(static_cast<u16>(e.code >> 8)),
-                  backend_tier_name(static_cast<u16>(e.code & 0xFF)),
+                  obs::backend_tier_name(from).data(),
+                  obs::backend_tier_name(to).data(),
                   e.a0 != 0 ? " [injected]" : "", ull(e.a1));
       break;
+    }
     case FlightEventType::kTraceCompile:
-      std::printf("tier=%s ns=%llu", artifact_tier_name(e.code), ull(e.a0));
+      std::printf("tier=%s ns=%llu", obs::artifact_tier_name(e.code).data(),
+                  ull(e.a0));
       break;
     case FlightEventType::kTraceReject:
-      std::printf("tier=%s err_hash=%016llx", artifact_tier_name(e.code),
-                  ull(e.a1));
+      std::printf("tier=%s err_hash=%016llx",
+                  obs::artifact_tier_name(e.code).data(), ull(e.a1));
       break;
     case FlightEventType::kTraceCacheHit:
       break;
     case FlightEventType::kFaultInjected:
-      std::printf("kind=%s site=%s draw=%llu", fault_kind_name(e.code),
-                  e.a0 == 0 ? "trace_compile" : "execute", ull(e.a1));
+      std::printf("kind=%s site=%s draw=%llu",
+                  obs::fault_kind_name(e.code).data(),
+                  obs::fault_site_name(e.a0).data(), ull(e.a1));
       break;
     case FlightEventType::kQueuePark:
       std::printf("%s", e.code == 0 ? "consumer" : "producer");

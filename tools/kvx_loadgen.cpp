@@ -20,8 +20,8 @@
 // Every OK digest is verified against the host golden model
 // (engine::host_reference_digest) and every SQUEEZE against a local
 // mirror sponge — the differential-testing discipline of the repo applied
-// over the wire. Traffic is the mixed profile of the hash_server example
-// (70% SHA3-256, 15% SHAKE128, 15% KMAC256), pipelined `--window` deep
+// over the wire. Traffic is a mixed profile (70% SHA3-256, 15% SHAKE128,
+// 15% KMAC256), pipelined `--window` deep
 // per connection so the server's batching and backpressure paths actually
 // engage. Reports p50/p99/p99.9 request latency and jobs/s.
 #include <algorithm>
