@@ -38,10 +38,13 @@
 // the LAST super-kernel that writes each regfile location and materializes
 // exactly those values back, so the register file after execute() is
 // bit-identical to the fused backend's — inter-segment replay ranges (the
-// liveness-demoted final round, the state stores) read exactly what they
-// would have under fused replay. Ops the plan cannot lower (short runs,
-// replay ranges) execute through the fused tier's own kernels, so the
-// backend is correct on arbitrary programs.
+// state load and stores) read exactly what they would have under fused
+// replay. A kernel whose fused op has live-out scratch (the final round's
+// θ and χ, see trace_fusion.hpp) writes those rows from the packed state
+// just before it runs, through the same write_scratch_rows the fused tier
+// uses, so all 24 rounds of a paper plan stay in one segment. Ops the plan
+// cannot lower (short runs, replay ranges) execute through the fused
+// tier's own kernels, so the backend is correct on arbitrary programs.
 //
 // The host ISA is picked once per process by CPUID at dispatch time
 // (AVX-512F → AVX2 → portable → scalar), overridable with the
@@ -137,14 +140,18 @@ void host_simd_unpack_split(u8* file, u32 lo_loc, u32 hi_loc, u32 rb, u32 sn,
 enum class HostSimdKernelKind : u8 { kTheta, kRhoPi, kChi };
 
 /// One lowered super-kernel inside a segment. All regfile interaction is in
-/// `unpack_loc`: kernels chain through host registers, and only the marked
-/// last-writer kernels transpose the packed state back out.
+/// `unpack_loc` and the scratch rows: kernels chain through host registers,
+/// only the marked last-writer kernels transpose the packed state back out,
+/// and a kernel with live-out scratch writes those rows before it runs.
 struct HostSimdKernel {
   HostSimdKernelKind kind{};
   bool iota = false;    ///< χ only: XOR `iota_rc` into lane (0, 0)
   bool unpack = false;  ///< materialize the packed state to `unpack_loc`
   u32 unpack_loc = 0;   ///< regfile byte offset of this kernel's output
   u32 unpack_loc2 = 0;  ///< split segments: offset of the hi-word planes
+  /// The fused op's live-out scratch: FusedTrace::scratch_rows() range.
+  u32 scratch_first = 0;
+  u32 scratch_count = 0;
   u64 iota_rc = 0;
 };
 
@@ -218,6 +225,10 @@ class HostSimdTrace {
   }
   /// Keccak states per simulated register row (the engine's SN).
   [[nodiscard]] u32 sn() const noexcept { return sn_; }
+  /// Add one dispatch's transposes, at `groups` pack-width groups per
+  /// segment, to kvx_hostsimd_{packs,unpacks}_total. Both native tiers
+  /// (this one and the jit) count through here.
+  void count_transposes(u32 groups) const;
   /// Approximate heap bytes of this plan alone (the shared fused trace is
   /// accounted by its own cache entry).
   [[nodiscard]] usize memory_bytes() const noexcept {

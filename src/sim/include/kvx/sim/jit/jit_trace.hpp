@@ -15,19 +15,24 @@
 //                 π is pure register renaming via an in-place cycle walk;
 //                 AVX2: memory-resident double-buffered state with
 //                 shift/shift/or rotates — with spill/reload around the
-//                 last-writer unpack shim calls (the SysV ABI makes every
-//                 vector register caller-saved)
+//                 last-writer unpack shim calls and the scratch shim calls
+//                 that write a kernel's live-out scratch rows (the SysV ABI
+//                 makes every vector register caller-saved)
 //   literal pool  ι round constants, reached rip-relative by vpbroadcastq
 //
 // A split segment (the 32-bit arch's lo/hi halves, see host_simd.hpp) emits
 // the same round bodies; only its transpose calls differ: the split shims
 // join and separate the lo/hi words, and receive both plane offsets.
 //
-// Plan items the host-SIMD tier could not lower (replay ranges, short runs)
-// call back into the fused tier through an extern "C" shim that traps C++
-// exceptions into the ctx and returns nonzero, which the emitted code turns
-// into a branch to the epilogue — execute() then rethrows, and the caller
-// demotes per the chain (jit → host-simd → fused → trace → interpreter).
+// A paper plan is one segment for all 24 rounds: the final round's live-out
+// θ/χ scratch goes through the scratch shim, which runs the same
+// write_scratch_rows as the host-SIMD and fused tiers. Plan items the
+// host-SIMD tier could not lower (the state load/store replay ranges, short
+// runs) call back into the fused tier through an extern "C" shim that traps
+// C++ exceptions into the ctx and returns nonzero, which the emitted code
+// turns into a branch to the epilogue — execute() then rethrows, and the
+// caller demotes per the chain (jit → host-simd → fused → trace →
+// interpreter).
 //
 // The emission ISA is resolved by the same dispatcher the host-SIMD tier
 // uses (host_simd_dispatch_isa: CPUID, KVX_HOST_SIMD_ISA, test pins,

@@ -26,12 +26,17 @@
 // fallback selected at compile time), and keep θ parity / χ slide scratch
 // in host registers instead of round-tripping through the register file.
 //
-// Eliding those scratch writes is only legal where the recorded values are
-// dead: a backward byte-granularity liveness pass over the recorded
-// reads/writes (all bytes live at end-of-trace — callers compare the final
-// register file) demotes any group whose scratch is live-out back to
-// per-record replay. Unrecognized record sequences replay unchanged, so the
-// backend is correct on arbitrary programs, not just the paper's.
+// The matcher records a scratch RECIPE for each elided row: which function
+// of the group's input lanes the row finally holds (θ: D, C[x−1],
+// rotl(C[x+1], 1), ...; χ: B[x+2] and ~B[x+1] & B[x+2] per plane). A
+// backward byte-granularity liveness pass over the recorded reads/writes
+// (all bytes live at end-of-trace — callers compare the final register
+// file) finds the rows that are live-out; a group writes exactly those rows
+// back from its recipe (write_scratch_rows), so the final round stays fused
+// like every other. Only a group with a live-out row that has no recipe
+// (the ρ scratch of the in-place ρπ forms) is demoted to per-record replay.
+// Unrecognized record sequences replay unchanged, so the backend is correct
+// on arbitrary programs, not just the paper's.
 //
 // Cycle accounting is untouched: all timing passes through to the recorded
 // interpreter totals, bit-identical by construction.
@@ -56,6 +61,40 @@ enum class FusedOpKind : u8 {
 /// (round constant XORed into lane x=0 of output row 0 while storing).
 inline constexpr u8 kFusedHasIota = 1;
 
+/// What an elided scratch row finally holds, per 5-lane state group, as a
+/// function of the fused op's input planes P0..P4 (θ: the planes before θ;
+/// χ: the source planes). C[x] = P0[x] ^ ... ^ P4[x] is the column parity,
+/// B the χ input plane `y` of the row's ScratchRow.
+enum class ScratchValue : u8 {
+  kNone,           ///< no recipe: a live-out row demotes its group
+  kParity12,       ///< P1[x] ^ P2[x]
+  kParity012,      ///< P0[x] ^ P1[x] ^ P2[x]
+  kParity,         ///< C[x]
+  kParityPrev,     ///< C[x−1]
+  kParityNext,     ///< C[x+1]
+  kParityNextRot,  ///< rotl(C[x+1], 1)
+  kThetaD,         ///< D[x] = C[x−1] ^ rotl(C[x+1], 1)
+  kChiNext2,       ///< B[x+2]
+  kChiAndNot,      ///< ~B[x+1] & B[x+2]
+};
+
+/// One live-out scratch row a fused op writes back (a whole register row:
+/// element 5s + x holds the value for lane x of state s).
+struct ScratchRow {
+  u32 off = 0;  ///< regfile byte offset of the row
+  ScratchValue value = ScratchValue::kNone;
+  u8 y = 0;     ///< χ values: the input plane
+  u8 half = 0;  ///< 0: 64-bit elements; 1 / 2: the lo / hi 32-bit word
+};
+
+/// Write `count` scratch rows for states [s0, min(s0 + pack, sn)) from
+/// their packed input lanes: buf[(5y + x)·pack + p] = lane (x, y) of state
+/// s0 + p, the layout of host_simd_pack / host_simd_pack_split (a split
+/// lane joins hi << 32 | lo), with `pack` at most 16 (the widest SN the
+/// super-kernels fuse). The one writer every trace-backed tier uses.
+void write_scratch_rows(u8* file, u32 sn, u32 s0, u32 pack, const u64* buf,
+                        const ScratchRow* rows, u32 count) noexcept;
+
 /// One fused super-kernel (or replay range). Offsets are regfile byte
 /// offsets like TraceOp's; `src2`/`dst2` are the high-half planes of the
 /// 32-bit kernels.
@@ -70,6 +109,10 @@ struct FusedOp {
   u32 src2 = 0;
   u32 dst = 0;
   u32 dst2 = 0;
+  /// Live-out scratch rows this op writes before its kernel runs:
+  /// [scratch_first, scratch_first + scratch_count) of scratch_rows().
+  u32 scratch_first = 0;
+  u32 scratch_count = 0;
   u64 iota_rc = 0;
 };
 
@@ -131,10 +174,15 @@ class FusedTrace {
   [[nodiscard]] const std::vector<FusedOp>& fused_ops() const noexcept {
     return fused_;
   }
+  /// The live-out scratch recipes the fused ops index into.
+  [[nodiscard]] const std::vector<ScratchRow>& scratch_rows() const noexcept {
+    return scratch_;
+  }
   /// Approximate heap bytes of this artifact alone (the shared base trace
   /// is accounted by its own cache entry).
   [[nodiscard]] usize memory_bytes() const noexcept {
-    return fused_.size() * sizeof(FusedOp);
+    return fused_.size() * sizeof(FusedOp) +
+           scratch_.size() * sizeof(ScratchRow);
   }
 
  private:
@@ -143,6 +191,7 @@ class FusedTrace {
 
   std::shared_ptr<const CompiledTrace> base_;
   std::vector<FusedOp> fused_;
+  std::vector<ScratchRow> scratch_;
   usize fused_records_ = 0;
   usize super_kernels_ = 0;
 };

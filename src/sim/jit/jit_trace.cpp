@@ -15,11 +15,11 @@ namespace {
 // Runtime context and shims.
 //
 // The emitted function receives one pointer (rdi): this context. It keeps
-// the ctx pinned in rbx and calls back into C++ for the packed transposes
-// and for plan items the host-SIMD tier could not lower. The SysV ABI makes
-// every vector register caller-saved, so the emitter spills the packed
-// state around every shim call (AVX-512) or keeps it memory-resident
-// (AVX2).
+// the ctx pinned in rbx and calls back into C++ for the packed transposes,
+// for the live-out scratch writes and for plan items the host-SIMD tier
+// could not lower. The SysV ABI makes every vector register caller-saved,
+// so the emitter spills the packed state around every shim call (AVX-512)
+// or keeps it memory-resident (AVX2).
 // ---------------------------------------------------------------------------
 
 struct JitCtx {
@@ -54,6 +54,15 @@ void jit_unpack_split_shim(JitCtx* ctx, u64* buf, u64 locs, u32 s0) noexcept {
   host_simd_unpack_split(ctx->file, static_cast<u32>(locs),
                          static_cast<u32>(locs >> 32), ctx->rb, ctx->sn, s0,
                          ctx->pack, buf);
+}
+
+/// Write plan kernel `kernel`'s live-out scratch rows from its packed input
+/// state, before the emitted kernel body runs.
+void jit_scratch_shim(JitCtx* ctx, u64* buf, u32 kernel, u32 s0) noexcept {
+  const HostSimdKernel& k = ctx->hs->kernels()[kernel];
+  write_scratch_rows(ctx->file, ctx->sn, s0, ctx->pack, buf,
+                     ctx->hs->fused().scratch_rows().data() + k.scratch_first,
+                     k.scratch_count);
 }
 
 /// Execute one unlowered plan item through the fused tier. Returns nonzero
@@ -259,6 +268,13 @@ void emit_function(JitAssembler& a, const HostSimdTrace& hs, HostSimdIsa isa,
   a.sub_rsp_imm32(kFrameBytes);
   a.and_rsp_imm8(-64);
 
+  // AVX-512 spill/reload of the zmm0–24 state around shim calls.
+  const auto store_state = [&a] {
+    for (unsigned i = 0; i < 25; ++i) a.evex_store(i, static_cast<i32>(i) * 64);
+  };
+  const auto load_state = [&a] {
+    for (unsigned i = 0; i < 25; ++i) a.evex_load(i, static_cast<i32>(i) * 64);
+  };
   const auto& items = hs.items();
   const auto& kernels = hs.kernels();
   for (u32 it = 0; it < items.size(); ++it) {
@@ -289,13 +305,14 @@ void emit_function(JitAssembler& a, const HostSimdTrace& hs, HostSimdIsa isa,
       const u32 s0 = g * pack;
       emit_pack(s0);
       i32 cur = 0, alt = kAvx2BufBytes;
-      if (wide) {
-        for (unsigned i = 0; i < 25; ++i) {
-          a.evex_load(i, static_cast<i32>(i) * 64);
-        }
-      }
+      if (wide) load_state();
       for (u32 k = 0; k < item.kernel_count; ++k) {
         const HostSimdKernel& ker = kernels[item.kernel_first + k];
+        if (ker.scratch_count != 0) {  // cur is 0 under AVX-512
+          if (wide) store_state();
+          emit_shim_call(a, &jit_scratch_shim, cur, item.kernel_first + k, s0);
+          if (wide) load_state();
+        }
         switch (ker.kind) {
           case HostSimdKernelKind::kTheta:
             wide ? emit_theta512(a) : emit_theta2(a, cur);
@@ -314,15 +331,9 @@ void emit_function(JitAssembler& a, const HostSimdTrace& hs, HostSimdIsa isa,
         }
         if (ker.unpack) {
           if (wide) {
-            for (unsigned i = 0; i < 25; ++i) {
-              a.evex_store(i, static_cast<i32>(i) * 64);
-            }
+            store_state();
             emit_unpack(ker, 0, s0);
-            if (k + 1 < item.kernel_count) {
-              for (unsigned i = 0; i < 25; ++i) {
-                a.evex_load(i, static_cast<i32>(i) * 64);
-              }
-            }
+            if (k + 1 < item.kernel_count) load_state();
           } else {
             emit_unpack(ker, cur, s0);
           }
@@ -439,6 +450,7 @@ void JitTrace::execute(VectorUnit& vu, Memory& mem,
   if (vu.config().effective_sn() != entry_sn) vu.set_sn(entry_sn);
   if (error) std::rethrow_exception(error);
   jit_dispatch_counter(isa_).inc();
+  hs_->count_transposes(groups_);
 }
 
 }  // namespace kvx::sim

@@ -200,7 +200,7 @@ inline void hs_st4(u64* p, hs_v4 v) noexcept { std::memcpy(p, &v, 32); }
 #endif  // KVX_HS_HAVE_AVX512
 
 using GroupRunner = void (*)(u8*, u32, u32, u32, const HostSimdItem&,
-                             const HostSimdKernel*);
+                             const HostSimdKernel*, const ScratchRow*);
 
 GroupRunner runner_for(HostSimdIsa isa) noexcept {
   switch (isa) {
@@ -382,8 +382,7 @@ namespace {
 
 /// A lowered segment must amortize its pack/unpack transposes: two full
 /// rounds of super-kernels is comfortably past break-even, shorter runs
-/// (e.g. the trailing ρπ+χ pair after a liveness-demoted θ) execute through
-/// the fused tier instead.
+/// (e.g. a single-round program) execute through the fused tier instead.
 constexpr usize kMinSegmentKernels = 6;
 
 /// The kernels bake the ρ offsets as immediates; refuse to lower against a
@@ -511,6 +510,8 @@ std::shared_ptr<const HostSimdTrace> lower_host_simd(
           break;
       }
       std::tie(ker.unpack_loc, ker.unpack_loc2) = output_loc(f);
+      ker.scratch_first = f.scratch_first;
+      ker.scratch_count = f.scratch_count;
       hs->kernels_.push_back(ker);
       hs->lowered_records_ += f.count;
     }
@@ -561,17 +562,23 @@ void HostSimdTrace::execute(VectorUnit& vu, Memory& mem,
   const u32 rb = static_cast<u32>(fused_->base().reg_bytes());
   const unsigned entry_sn = vu.config().effective_sn();
   const auto& fops = fused_->fused_ops();
+  const ScratchRow* rows = fused_->scratch_rows().data();
   for (const HostSimdItem& item : items_) {
     if (item.kernel_count == 0) {
       fused_->execute_op(fops[item.fused_index], vu, mem, cm);
       continue;
     }
     for (u32 g = 0; g < groups; ++g) {
-      run(file, rb, sn_, g * pack, item, kernels_.data() + item.kernel_first);
+      run(file, rb, sn_, g * pack, item, kernels_.data() + item.kernel_first,
+          rows);
     }
   }
   if (vu.config().effective_sn() != entry_sn) vu.set_sn(entry_sn);
   dispatch_counter(isa).inc();
+  count_transposes(groups);
+}
+
+void HostSimdTrace::count_transposes(u32 groups) const {
   packs_counter().inc(segments_ * groups);
   unpacks_counter().inc(unpack_marks_ * groups);
 }

@@ -1,12 +1,15 @@
 #include "kvx/sim/trace_fusion.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "kvx/common/bits.hpp"
 #include "kvx/common/error.hpp"
 #include "kvx/keccak/permutation.hpp"
+#include "kvx/sim/host_simd.hpp"
 
 // Host-SIMD lowering: GCC/Clang vector extensions. __builtin_shufflevector
 // arrived in GCC 12, so probe for the builtin rather than a version.
@@ -58,7 +61,8 @@ inline void stv(u8* p, v4u64 v) noexcept { std::memcpy(p, &v, 32); }
 
 /// θ over five 64-bit planes at `f.dst + k·rb`: column parity B, combine
 /// D[x] = B[x-1] ^ rotl(B[x+1], 1), apply. B and D live in host registers —
-/// the recorded scratch-register writes are elided (liveness-checked).
+/// the recorded scratch-register writes are elided (live-out rows are
+/// written from their recipes before the kernel runs).
 void run_theta64(u8* file, const FusedOp& f, u32 rb) {
   const u32 sn = f.sn;
   const u32 ne = 5u * sn;
@@ -264,19 +268,24 @@ inline u32 slide_shift(const TraceOp& o) noexcept {
 
 struct Group {
   FusedOp op;
-  /// Elided-write ranges; any byte live-out of the group demotes it.
-  std::vector<std::pair<u32, u32>> scratch;
+  /// Elided-write register rows with their recipes. After the liveness
+  /// pass only the live-out rows remain; one without a recipe demotes.
+  std::vector<ScratchRow> scratch;
   bool demoted = false;
-  /// Smaller groups inside this one's records (the halves of a split χι),
-  /// used in its place if it is demoted; each is liveness-checked itself.
-  std::vector<Group> parts;
 };
 
-void add_scratch(Group& g, u32 off, u32 len) {
-  for (const auto& [o, l] : g.scratch) {
-    if (o == off && l == len) return;
+/// Record that the group's records write row `off` with `value`. Called in
+/// record order: a row written twice keeps the later (final) recipe.
+void add_scratch(Group& g, u32 off, ScratchValue value, u8 half = 0,
+                 u8 y = 0) {
+  const ScratchRow row{off, value, y, half};
+  for (ScratchRow& r : g.scratch) {
+    if (r.off == off) {
+      r = row;
+      return;
+    }
   }
-  g.scratch.emplace_back(off, len);
+  g.scratch.push_back(row);
 }
 
 class Matcher {
@@ -349,6 +358,21 @@ class Matcher {
     return Parity{base, o0.d, o1.d, o2.d};
   }
 
+  /// The parity chain's final scratch: t0 is overwritten by B = C.
+  static void add_parity_scratch(Group& g, const Parity& p, u8 half) {
+    add_scratch(g, p.B, ScratchValue::kParity, half);
+    add_scratch(g, p.t1, ScratchValue::kParity12, half);
+    add_scratch(g, p.t2, ScratchValue::kParity012, half);
+  }
+
+  /// A 5-row span of elided writes: `value` of input plane r in row r.
+  void add_span_scratch(Group& g, u32 off, ScratchValue value,
+                        u8 half) const {
+    for (u32 r = 0; r < 5; ++r) {
+      add_scratch(g, off + r * rb_, value, half, static_cast<u8>(r));
+    }
+  }
+
   /// The five `plane ^= D` records that close every θ form.
   [[nodiscard]] bool match_applies(usize i, u8 sew, u32 ne, u32 base,
                                    u32 D) const {
@@ -382,8 +406,8 @@ class Matcher {
     g.op.dst = par->base;
     for (u32 s : {par->B, par->t1, par->t2}) {
       if (!disjoint(s, rb_, par->base, span)) return std::nullopt;
-      add_scratch(g, s, rb_);
     }
+    add_parity_scratch(g, *par, 0);
 
     // Fused-ISE form: vthetac collapses the slide/rotate/xor combine.
     const TraceOp& o4 = at(i + 4);
@@ -391,7 +415,7 @@ class Matcher {
         o4.a == par->B) {
       if (!disjoint(o4.d, rb_, par->base, span)) return std::nullopt;
       if (!match_applies(i + 5, 64, ne, par->base, o4.d)) return std::nullopt;
-      add_scratch(g, o4.d, rb_);
+      add_scratch(g, o4.d, ScratchValue::kThetaD);
       g.op.count = 10;
       return g;
     }
@@ -414,8 +438,10 @@ class Matcher {
     if (su.d == sd.d) return std::nullopt;
     for (u32 s : {su.d, sd.d, cx.d}) {
       if (!disjoint(s, rb_, par->base, span)) return std::nullopt;
-      add_scratch(g, s, rb_);
     }
+    add_scratch(g, su.d, ScratchValue::kParityPrev);
+    add_scratch(g, sd.d, ScratchValue::kParityNextRot);
+    add_scratch(g, cx.d, ScratchValue::kThetaD);
     if (!match_applies(i + 8, 64, ne, par->base, cx.d)) return std::nullopt;
     g.op.count = 13;
     return g;
@@ -482,8 +508,17 @@ class Matcher {
           !disjoint(s, rb_, hi->base, span)) {
         return std::nullopt;
       }
-      add_scratch(g, s, rb_);
     }
+    add_parity_scratch(g, *lo, 1);
+    add_parity_scratch(g, *hi, 2);
+    add_scratch(g, sul.d, ScratchValue::kParityPrev, 1);
+    add_scratch(g, suh.d, ScratchValue::kParityPrev, 2);
+    add_scratch(g, sdl.d, ScratchValue::kParityNext, 1);
+    add_scratch(g, sdh.d, ScratchValue::kParityNext, 2);
+    add_scratch(g, rl.d, ScratchValue::kParityNextRot, 1);
+    add_scratch(g, rh.d, ScratchValue::kParityNextRot, 2);
+    add_scratch(g, cl.d, ScratchValue::kThetaD, 1);
+    add_scratch(g, ch.d, ScratchValue::kThetaD, 2);
     return g;
   }
 
@@ -548,7 +583,7 @@ class Matcher {
     g.op.count = 10;
     g.op.src = src;
     g.op.dst = dst;
-    g.scratch.emplace_back(src, span);
+    add_span_scratch(g, src, ScratchValue::kNone, 0);
     return g;
   }
 
@@ -616,8 +651,8 @@ class Matcher {
     g.op.src2 = hi_src;
     g.op.dst = lo_dst;
     g.op.dst2 = hi_dst;
-    g.scratch.emplace_back(dl, span);
-    g.scratch.emplace_back(dh, span);
+    add_span_scratch(g, dl, ScratchValue::kNone, 1);
+    add_span_scratch(g, dh, ScratchValue::kNone, 2);
     return g;
   }
 
@@ -662,9 +697,9 @@ class Matcher {
       }
     }
     for (const Group* g : {&*lo, &*hi}) {
-      for (const auto& [off, len] : g->scratch) {
+      for (const ScratchRow& r : g->scratch) {
         for (const u32 p : {lo->op.src, lo->op.dst, hi->op.src, hi->op.dst}) {
-          if (!disjoint(off, len, p, span)) return std::nullopt;
+          if (!disjoint(r.off, rb_, p, span)) return std::nullopt;
         }
       }
     }
@@ -679,10 +714,13 @@ class Matcher {
     g.op.src2 = hi->op.src;
     g.op.dst = lo->op.dst;
     g.op.dst2 = hi->op.dst;
-    for (const Group* h : {&*lo, &*hi}) {
-      for (const auto& [off, len] : h->scratch) add_scratch(g, off, len);
+    // χ(hi) runs second: where the halves share scratch, its rows win.
+    for (const ScratchRow& r : lo->scratch) {
+      add_scratch(g, r.off, r.value, 1, r.y);
     }
-    g.parts = {*lo, *hi};
+    for (const ScratchRow& r : hi->scratch) {
+      add_scratch(g, r.off, r.value, 2, r.y);
+    }
 
     const usize j = g.op.first + g.op.count;
     const u32 ne = 5u * g.op.sn;
@@ -704,6 +742,14 @@ class Matcher {
       }
     }
     return g;
+  }
+
+  /// The slide forms' final scratch: u = ~B[x+1] & B[x+2], w = B[x+2] per
+  /// plane (a 32-bit χ's rows hold lo words until try_chi32 retags them).
+  void add_chi_scratch(Group& g, u32 u, u32 w) const {
+    const u8 half = g.op.sew == 64 ? 0 : 1;
+    add_span_scratch(g, u, ScratchValue::kChiAndNot, half);
+    add_span_scratch(g, w, ScratchValue::kChiNext2, half);
   }
 
   /// The χ forms (without ι): five vchi rows, the grouped slide/ALU form
@@ -799,8 +845,7 @@ class Matcher {
       g.op.count = 13;
       g.op.src = f;
       g.op.dst = out;
-      g.scratch.emplace_back(u, span);
-      g.scratch.emplace_back(w, span);
+      add_chi_scratch(g, u, w);
       return g;
     };
 
@@ -860,8 +905,7 @@ class Matcher {
       g.op.count = 25;
       g.op.src = f;
       g.op.dst = out;
-      g.scratch.emplace_back(u, span);
-      g.scratch.emplace_back(w, span);
+      add_chi_scratch(g, u, w);
       return g;
     };
 
@@ -979,31 +1023,48 @@ void transfer(const TraceOp& op, LiveMap& lv, u32 rb) {
   }
 }
 
-void demote_live_scratch(const CompiledTrace& t, std::vector<Group>& groups) {
+/// Keep each group's live-out scratch rows (written back from their
+/// recipes) and drop the dead ones; a live-out row without a recipe
+/// demotes the group to per-record replay.
+void keep_live_scratch(const CompiledTrace& t, std::vector<Group>& groups) {
   const auto& ops = t.ops();
   const u32 rb = static_cast<u32>(t.reg_bytes());
-  // Groups (and their parts) by last record.
   std::vector<std::vector<Group*>> ending_at(ops.size());
-  for (Group& g : groups) {
-    ending_at[g.op.first + g.op.count - 1].push_back(&g);
-    for (Group& p : g.parts) {
-      ending_at[p.op.first + p.op.count - 1].push_back(&p);
-    }
-  }
+  for (Group& g : groups) ending_at[g.op.first + g.op.count - 1].push_back(&g);
   LiveMap lv(32 * static_cast<usize>(rb));
   for (usize i = ops.size(); i-- > 0;) {
     // The map right before applying record i's transfer is the live-out set
     // of every group whose last record is i.
     for (Group* g : ending_at[i]) {
-      for (const auto& [off, len] : g->scratch) {
-        if (lv.any(off, len)) {
-          g->demoted = true;
-          break;
-        }
-      }
+      std::erase_if(g->scratch, [&](const ScratchRow& r) {
+        return !lv.any(r.off, rb);
+      });
+      g->demoted = std::any_of(
+          g->scratch.begin(), g->scratch.end(),
+          [](const ScratchRow& r) { return r.value == ScratchValue::kNone; });
     }
     transfer(ops[i], lv, rb);
   }
+}
+
+/// The live-out scratch of `f` from its input planes: θ reads its planes in
+/// place, χ its source, before the kernel overwrites them. A lone 32-bit χ
+/// packs its planes as both words; its rows read the lo word.
+void write_scratch(u8* file, const FusedOp& f, const ScratchRow* rows,
+                   u32 rb) {
+  const bool theta =
+      f.kind == FusedOpKind::kTheta64 || f.kind == FusedOpKind::kTheta32;
+  const u32 lo = theta ? f.dst : f.src;
+  u64 buf[25 * kMaxSn];
+  if (f.sew == 64) {
+    host_simd_pack(file, lo, rb, f.sn, 0, f.sn, buf);
+  } else {
+    const bool split =
+        f.kind == FusedOpKind::kTheta32 || f.kind == FusedOpKind::kChi32;
+    const u32 hi = !split ? lo : theta ? f.dst2 : f.src2;
+    host_simd_pack_split(file, lo, hi, rb, f.sn, 0, f.sn, buf);
+  }
+  write_scratch_rows(file, f.sn, 0, f.sn, buf, rows, f.scratch_count);
 }
 
 }  // namespace
@@ -1012,6 +1073,9 @@ void FusedTrace::execute_op(const FusedOp& f, VectorUnit& vu, Memory& mem,
                             const CycleModel& cm) const {
   u8* file = vu.file_data();
   const u32 rb = static_cast<u32>(base_->reg_bytes());
+  if (f.scratch_count != 0) {
+    write_scratch(file, f, scratch_.data() + f.scratch_first, rb);
+  }
   switch (f.kind) {
     case FusedOpKind::kReplayRange: {
       const auto& ops = base_->ops();
@@ -1045,7 +1109,7 @@ std::shared_ptr<const FusedTrace> fuse_trace(
   const CompiledTrace& t = *fused->base_;
 
   std::vector<Group> groups = Matcher(t).run();
-  demote_live_scratch(t, groups);
+  keep_live_scratch(t, groups);
 
   const u32 nops = static_cast<u32>(t.op_count());
   u32 pos = 0;
@@ -1058,26 +1122,101 @@ std::shared_ptr<const FusedTrace> fuse_trace(
       fused->fused_.push_back(r);
     }
   };
-  const auto add_group = [&](const Group& g) {
+  // A demoted group's records join the surrounding replay run.
+  for (const Group& g : groups) {
+    if (g.demoted) continue;
     add_replay(pos, g.op.first);
-    fused->fused_.push_back(g.op);
+    FusedOp op = g.op;
+    op.scratch_first = static_cast<u32>(fused->scratch_.size());
+    op.scratch_count = static_cast<u32>(g.scratch.size());
+    fused->scratch_.insert(fused->scratch_.end(), g.scratch.begin(),
+                           g.scratch.end());
+    fused->fused_.push_back(op);
     fused->fused_records_ += g.op.count;
     ++fused->super_kernels_;
     pos = g.op.first + g.op.count;
-  };
-  // A demoted group's records join the surrounding replay run, except those
-  // its surviving parts still cover.
-  for (const Group& g : groups) {
-    if (!g.demoted) {
-      add_group(g);
-      continue;
-    }
-    for (const Group& p : g.parts) {
-      if (!p.demoted) add_group(p);
-    }
   }
   add_replay(pos, nops);
   return fused;
+}
+
+void write_scratch_rows(u8* file, u32 sn, u32 s0, u32 pack, const u64* buf,
+                        const ScratchRow* rows, u32 count) noexcept {
+  if (s0 >= sn) return;
+  const u32 n = std::min(pack, sn - s0);
+  // θ rows read the column parities and their partial sums, one plane of
+  // kMaxSn states per x.
+  u64 p12[5][kMaxSn], p012[5][kMaxSn], c[5][kMaxSn];
+  if (std::any_of(rows, rows + count, [](const ScratchRow& r) {
+        return r.value != ScratchValue::kChiNext2 &&
+               r.value != ScratchValue::kChiAndNot;
+      })) {
+    for (u32 x = 0; x < 5; ++x) {
+      for (u32 p = 0; p < n; ++p) {
+        p12[x][p] = buf[(5 + x) * pack + p] ^ buf[(10 + x) * pack + p];
+        p012[x][p] = buf[x * pack + p] ^ p12[x][p];
+        c[x][p] = p012[x][p] ^ buf[(15 + x) * pack + p] ^
+                  buf[(20 + x) * pack + p];
+      }
+    }
+  }
+  enum class Op { kCopy, kRot, kXorRot, kAndNot };
+  for (const ScratchRow& r : std::span(rows, count)) {
+    // Element 5p + x = op(a[(x + da) % 5][p], b[(x + db) % 5][p]), over
+    // planes `stride` u64 apart: the parities, or χ's input plane y.
+    const u64* a = c[0];
+    const u64* b = c[0];
+    u32 stride = kMaxSn, da = 0, db = 0;
+    Op op = Op::kCopy;
+    switch (r.value) {
+      case ScratchValue::kNone: continue;
+      case ScratchValue::kParity12: a = p12[0]; break;
+      case ScratchValue::kParity012: a = p012[0]; break;
+      case ScratchValue::kParity: break;
+      case ScratchValue::kParityPrev: da = 4; break;
+      case ScratchValue::kParityNext: da = 1; break;
+      case ScratchValue::kParityNextRot: da = 1, op = Op::kRot; break;
+      case ScratchValue::kThetaD: da = 4, db = 1, op = Op::kXorRot; break;
+      case ScratchValue::kChiNext2:
+        a = buf + 5 * r.y * pack, stride = pack, da = 2;
+        break;
+      case ScratchValue::kChiAndNot:
+        a = b = buf + 5 * r.y * pack, stride = pack, da = 1, db = 2;
+        op = Op::kAndNot;
+        break;
+    }
+    // The group's elements of the row are contiguous: build them in address
+    // order, then store them with one copy.
+    u64 v[5 * kMaxSn];
+    for (u32 x = 0; x < 5; ++x) {
+      const u64* ax = a + (x + da) % 5 * stride;
+      const u64* bx = b + (x + db) % 5 * stride;
+      u64* out = v + x;
+      switch (op) {
+        case Op::kCopy:
+          for (u32 p = 0; p < n; ++p) out[5 * p] = ax[p];
+          break;
+        case Op::kRot:
+          for (u32 p = 0; p < n; ++p) out[5 * p] = rotl64(ax[p], 1);
+          break;
+        case Op::kXorRot:
+          for (u32 p = 0; p < n; ++p) out[5 * p] = ax[p] ^ rotl64(bx[p], 1);
+          break;
+        case Op::kAndNot:
+          for (u32 p = 0; p < n; ++p) out[5 * p] = ~ax[p] & bx[p];
+          break;
+      }
+    }
+    if (r.half == 0) {
+      std::memcpy(file + r.off + 8 * 5 * s0, v, 8 * 5 * n);
+    } else {
+      u32 w[5 * kMaxSn];
+      for (u32 e = 0; e < 5 * n; ++e) {
+        w[e] = r.half == 1 ? lo32(v[e]) : hi32(v[e]);
+      }
+      std::memcpy(file + r.off + 4 * 5 * s0, w, 4 * 5 * n);
+    }
+  }
 }
 
 bool fusion_host_simd() noexcept { return KVX_FUSION_SIMD != 0; }

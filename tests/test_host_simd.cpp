@@ -3,15 +3,18 @@
 // contents (including ragged final groups), lowered execution must be
 // bit-identical to the fused backend / interpreter / golden model across
 // all paper configurations — the 32-bit split arch included — and on every
-// host ISA compiled in, cycle reporting must pass the pinned paper
-// values through untouched, the trace cache must key lowerings separately,
-// and the engine must report the host-simd tier and dispatch ISA.
+// host ISA compiled in, every round of a paper plan (the final one
+// included) must run in one lowered segment, cycle reporting must pass the
+// pinned paper values through untouched, the trace cache must key
+// lowerings separately, and the engine must report the host-simd tier and
+// dispatch ISA.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "kvx/common/error.hpp"
@@ -23,6 +26,7 @@
 #include "kvx/keccak/sha3.hpp"
 #include "kvx/sim/compiled_trace.hpp"
 #include "kvx/sim/host_simd.hpp"
+#include "kvx/sim/jit/jit_trace.hpp"
 #include "kvx/sim/trace_fusion.hpp"
 
 namespace kvx::core {
@@ -428,6 +432,89 @@ TEST(HostSimd, PermutationCyclesMatchPinnedPaperValues) {
   EXPECT_EQ(perm_cycles(Arch::k64Lmul8, ExecBackend::kHostSimd), 1894u);
   // The 32-bit split halves lower too (scalar at SN=1), cycles intact.
   EXPECT_EQ(perm_cycles(Arch::k32Lmul8, ExecBackend::kHostSimd), 3646u);
+}
+
+/// The record kinds a Keccak step compiles to: everything but the loads,
+/// stores, splats, copies and generic records around the permutation.
+bool is_step_record(sim::TraceOpKind k) {
+  using K = sim::TraceOpKind;
+  switch (k) {
+    case K::kBinVV: case K::kBinVS: case K::kSlideMod5: case K::kRotup64:
+    case K::kRho64Row: case K::kRho32Row: case K::kRot32Pair: case K::kPiRow:
+    case K::kRhoPiRow: case K::kIota: case K::kThetaCRow: case K::kChiRow:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// A paper plan runs every round natively: the state load replay, ONE
+/// segment of 24 × 3 kernels, the state store replay — and the two replay
+/// ranges, the only items the fused tier executes, hold no step record.
+void expect_every_round_native(const sim::HostSimdTrace& hs) {
+  const auto& items = hs.items();
+  ASSERT_EQ(items.size(), 3u);
+  EXPECT_EQ(hs.segment_count(), 1u);
+  EXPECT_EQ(items[1].kernel_count, 72u);
+  const sim::FusedTrace& fused = hs.fused();
+  for (const usize i : {usize{0}, usize{2}}) {
+    ASSERT_EQ(items[i].kernel_count, 0u) << "item " << i;
+    const sim::FusedOp& f = fused.fused_ops()[items[i].fused_index];
+    ASSERT_EQ(f.kind, sim::FusedOpKind::kReplayRange) << "item " << i;
+    for (u32 r = f.first; r < f.first + f.count; ++r) {
+      EXPECT_FALSE(is_step_record(fused.base().ops()[r].kind))
+          << "record " << r << " replays in item " << i;
+    }
+  }
+}
+
+TEST(HostSimd, PaperPlansRunEveryRoundNatively) {
+  // The final round's live-out θ/χ scratch is written back from its recipe,
+  // so no round of a paper config falls out of the lowered segment — on
+  // every ISA, for the host-SIMD plan and the jit emitted from it — and
+  // the result is still the interpreter's.
+  IsaGuard guard;
+  for (const Arch arch : {Arch::k64Lmul1, Arch::k64Lmul8, Arch::k32Lmul8}) {
+    for (const unsigned sn : {1u, 3u, 6u, 8u}) {
+      SCOPED_TRACE(std::string(arch_name(arch)) + " SN=" + std::to_string(sn));
+      const VectorKeccakConfig cfg{arch, 5 * sn, 24};
+      const auto program = VectorKeccak::build_program(cfg);
+      sim::TraceCompileOptions opts;
+      opts.verify_base = program->image.symbol("state");
+      opts.verify_len = usize{5} * cfg.ele_num * 8;
+      const auto hs = sim::lower_host_simd(sim::fuse_trace(
+          sim::compile_trace(program->image, proc_config(cfg), opts)));
+      expect_every_round_native(*hs);
+
+      VectorKeccakConfig ci = cfg;
+      ci.backend = ExecBackend::kInterpreter;
+      VectorKeccak interp(ci);
+      auto want = random_states(sn, 0x24 + sn);
+      interp.permute(want);
+      for (const HostSimdIsa isa :
+           {HostSimdIsa::kScalar, HostSimdIsa::kPortable, HostSimdIsa::kAvx2,
+            HostSimdIsa::kAvx512}) {
+        if (!sim::host_simd_isa_available(isa)) continue;
+        SCOPED_TRACE(sim::host_simd_isa_name(isa));
+        sim::host_simd_force_isa(isa);
+        std::vector<ExecBackend> tiers{ExecBackend::kHostSimd};
+        if (sim::jit_supported() &&
+            (isa == HostSimdIsa::kAvx2 || isa == HostSimdIsa::kAvx512)) {
+          expect_every_round_native(sim::lower_jit(hs)->host_simd());
+          tiers.push_back(ExecBackend::kJit);
+        }
+        for (const ExecBackend tier : tiers) {
+          VectorKeccakConfig ct = cfg;
+          ct.backend = tier;
+          VectorKeccak vk(ct);
+          ASSERT_EQ(vk.active_backend(), tier);
+          auto got = random_states(sn, 0x24 + sn);
+          vk.permute(got);
+          EXPECT_EQ(got, want) << sim::backend_name(tier);
+        }
+      }
+    }
+  }
 }
 
 TEST(HostSimd, SplitArchLowersWithCorrectDigests) {

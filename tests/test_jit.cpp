@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <tuple>
 
 #include "kvx/common/error.hpp"
@@ -306,6 +307,44 @@ TEST(Jit, UnlowerableProgramDemotesToFusedWithCorrectDigests) {
   for (usize i = 0; i < states.size(); ++i) EXPECT_EQ(states[i], golden[i]);
 }
 
+TEST(Jit, DispatchCountsTheSameTransposesAsHostSimd) {
+  // The emitted code runs the plan's transposes through its shims, so one
+  // jit dispatch must advance kvx_hostsimd_{packs,unpacks}_total exactly as
+  // one host-simd dispatch of the same plan does — on a 64-bit plan and a
+  // split one, with ragged pack groups.
+  KVX_REQUIRE_JIT_HOST();
+  IsaGuard guard;
+  auto& packs = obs::MetricsRegistry::global().counter(
+      "kvx_hostsimd_packs_total");
+  auto& unpacks = obs::MetricsRegistry::global().counter(
+      "kvx_hostsimd_unpacks_total");
+  for (const HostSimdIsa isa : emittable_isas()) {
+    sim::host_simd_force_isa(isa);
+    for (const VectorKeccakConfig& c :
+         {VectorKeccakConfig{Arch::k64Lmul8, 30, 24},
+          VectorKeccakConfig{Arch::k32Lmul8, 30, 24}}) {
+      SCOPED_TRACE(std::string(arch_name(c.arch)) + " " +
+                   std::string(sim::host_simd_isa_name(isa)));
+      const auto program = VectorKeccak::build_program(c);
+      const auto hs = sim::lower_host_simd(
+          sim::fuse_trace(sim::compile_trace(program->image, proc_config(c),
+                                             verify_opts(*program, c))));
+      const auto jit = sim::lower_jit(hs);
+      const auto dispatch = [&](const auto& t) {
+        sim::SimdProcessor p(proc_config(c));
+        p.load_program(program->image);
+        const u64 p0 = packs.value(), u0 = unpacks.value();
+        t.execute(p.vector(), p.dmem(), p.config().cycle_model);
+        return std::pair{packs.value() - p0, unpacks.value() - u0};
+      };
+      const auto want = dispatch(*hs);
+      EXPECT_GT(want.first, 0u);
+      EXPECT_GT(want.second, 0u);
+      EXPECT_EQ(dispatch(*jit), want);
+    }
+  }
+}
+
 TEST(Jit, ScalarIsaResolutionDemotesToHostSimd) {
   // A scalar pin (or a non-x86-64 host, or KVX_JIT=OFF — all reject inside
   // lower_jit) must demote construction one tier, to host-simd, which runs
@@ -499,21 +538,22 @@ TEST(JitDisasm, EmittedCodeDecodesEndToEndOnEveryIsa) {
       // A 24-round emission is thousands of instructions; a trivially small
       // count means the emitter silently skipped the round bodies.
       EXPECT_GT(insns, 500u) << sim::host_simd_isa_name(isa);
-      // The ι constants of every natively lowered round reach the
-      // (deduplicated) pool — most but not all of the 24 distinct RCs, since
-      // the rounds adjoining unlowerable plan items replay through the shim.
-      EXPECT_GT(jit->literal_count(), 0u);
-      EXPECT_LE(jit->literal_count(), 24u);
+      // Every round runs natively, so the deduplicated pool holds all 22
+      // distinct round constants.
+      EXPECT_EQ(jit->literal_count(), 22u);
       EXPECT_GE(jit->buffer_bytes(), jit->code_size());
     }
   }
 }
 
 TEST(JitDisasm, SixtyFourBitEmissionSizesArePinned) {
-  // Split lowering added transposes for 32-bit plans only: a 64-bit plan's
-  // emitted code must stay exactly as long as before it (the sizes below
-  // were recorded before the split lowering existed). Any change to the
-  // 64-bit emitter moves these numbers and must update them on purpose.
+  // A 64-bit plan's emitted code is pinned to the byte: all 24 rounds in
+  // one segment, each final-round kernel with live-out scratch (64lmul1:
+  // χ; 64lmul8: θ and χ) preceded by a scratch shim call, and every
+  // round's ι constant in the pool (22 distinct values: rounds 20 and 22
+  // repeat the constants of rounds 6 and 5, counting from 0). Any change
+  // to the 64-bit emitter moves these numbers and must update them on
+  // purpose.
   KVX_REQUIRE_JIT_HOST();
   IsaGuard guard;
   struct Pin {
@@ -522,10 +562,10 @@ TEST(JitDisasm, SixtyFourBitEmissionSizesArePinned) {
     HostSimdIsa isa;
     usize code_size;
   };
-  for (const Pin& pin : {Pin{Arch::k64Lmul1, 1, HostSimdIsa::kAvx2, 60213},
-                         Pin{Arch::k64Lmul8, 3, HostSimdIsa::kAvx2, 58509},
-                         Pin{Arch::k64Lmul1, 1, HostSimdIsa::kAvx512, 20888},
-                         Pin{Arch::k64Lmul8, 3, HostSimdIsa::kAvx512, 20463}}) {
+  for (const Pin& pin : {Pin{Arch::k64Lmul1, 1, HostSimdIsa::kAvx2, 61014},
+                         Pin{Arch::k64Lmul8, 3, HostSimdIsa::kAvx2, 61051},
+                         Pin{Arch::k64Lmul1, 1, HostSimdIsa::kAvx512, 21816},
+                         Pin{Arch::k64Lmul8, 3, HostSimdIsa::kAvx512, 22403}}) {
     if (!sim::host_simd_isa_available(pin.isa)) continue;
     sim::host_simd_force_isa(pin.isa);
     const VectorKeccakConfig c{pin.arch, 5 * pin.sn, 24};
@@ -536,7 +576,7 @@ TEST(JitDisasm, SixtyFourBitEmissionSizesArePinned) {
     EXPECT_EQ(jit->code_size(), pin.code_size)
         << arch_name(pin.arch) << " SN=" << pin.sn << " "
         << sim::host_simd_isa_name(pin.isa);
-    EXPECT_EQ(jit->literal_count(), 21u);
+    EXPECT_EQ(jit->literal_count(), 22u);
   }
 }
 

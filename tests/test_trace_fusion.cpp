@@ -1,14 +1,18 @@
 // Differential tests of the fused-trace execution backend: super-kernel
 // replays must be bit-identical to the interpreter and the plain compiled
 // trace — digests, full vector register file, data memory and cycle counts
-// — across all paper configurations; the 32-bit round must fuse to three
-// kernels (θ32, ρπ32, split χι); constant-stride gathers/scatters must
+// — across all paper configurations, with a random register file checked
+// through the fused, host-SIMD and jit tiers alike; the 32-bit round must
+// fuse to three kernels (θ32, ρπ32, split χι) in every round, the final
+// one included; scratch without a recipe must still demote to per-record
+// replay when it is live-out; constant-stride gathers/scatters must
 // compile to strided records that match per-element access; unrecognizable
 // programs must fall back to per-record replay; and the trace cache must
 // key compilations by backend so a "trace" shard never observes a fused
 // artifact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <tuple>
@@ -21,6 +25,8 @@
 #include "kvx/keccak/permutation.hpp"
 #include "kvx/keccak/sha3.hpp"
 #include "kvx/sim/compiled_trace.hpp"
+#include "kvx/sim/host_simd.hpp"
+#include "kvx/sim/jit/jit_trace.hpp"
 #include "kvx/sim/trace_fusion.hpp"
 
 namespace kvx::core {
@@ -28,6 +34,12 @@ namespace {
 
 using keccak::State;
 using sim::ExecBackend;
+using sim::HostSimdIsa;
+
+/// Restores automatic CPUID dispatch when a test that forces an ISA exits.
+struct IsaGuard {
+  ~IsaGuard() { sim::host_simd_force_isa(std::nullopt); }
+};
 
 std::vector<State> random_states(usize n, u64 seed) {
   SplitMix64 rng(seed);
@@ -78,7 +90,7 @@ TEST_P(FusionDifferential, PermuteMatchesInterpreterBitExactly) {
       << "fused compilation unexpectedly fell back";
   // The Keccak programs must actually fuse — the permutation loop is
   // nothing but θ/ρπ/χι patterns, so well over half the records should be
-  // covered by super-kernels even with final-round liveness demotions.
+  // covered by super-kernels.
   EXPECT_GT(fused.fusion_coverage(), 0.5) << arch_name(arch());
 
   for (const u64 seed : {7u, 77u, 7777u}) {
@@ -103,11 +115,14 @@ TEST_P(FusionDifferential, PermuteMatchesInterpreterBitExactly) {
 }
 
 TEST_P(FusionDifferential, RandomizedRegisterFileSeedReplay) {
-  // Seed two processors with the same random register file and state data,
-  // run one through the interpreter and one through the fused trace, and
-  // compare every vector register and all of data memory. This is the
-  // strongest check on the liveness pass: an elided scratch write that was
-  // actually live-out would surface as a register mismatch here.
+  // Seed machines with the same random register file and state data, run
+  // one through the interpreter and the others through the fused trace,
+  // the host-SIMD plan on every compiled ISA and the jit on every
+  // emittable ISA, and compare every vector register and all of data
+  // memory against the interpreter's. This is the strongest check on the
+  // liveness pass and the scratch recipes: an elided scratch write that
+  // was actually live-out, or a live-out row written from a wrong recipe,
+  // would surface as a register mismatch here.
   const VectorKeccakConfig cfg = config(ExecBackend::kInterpreter);
   const auto program = VectorKeccak::build_program(cfg);
 
@@ -117,39 +132,55 @@ TEST_P(FusionDifferential, RandomizedRegisterFileSeedReplay) {
   const auto fused = sim::fuse_trace(
       sim::compile_trace(program->image, proc_config(cfg), opts));
   ASSERT_GT(fused->super_kernel_count(), 0u);
-
-  sim::SimdProcessor pi(proc_config(cfg));
-  sim::SimdProcessor pf(proc_config(cfg));
-  pi.load_program(program->image);
-  pf.load_program(program->image);
+  const auto hs = sim::lower_host_simd(fused);
 
   SplitMix64 rng(0xFADE + sn());
-  const usize reg_bytes = pi.vector().reg_bytes();
-  std::vector<u8> row(reg_bytes);
-  for (unsigned r = 0; r < 32; ++r) {
+  std::vector<std::vector<u8>> regs(32);
+  for (auto& row : regs) {
+    row.resize(fused->base().reg_bytes());
     for (u8& byte : row) byte = static_cast<u8>(rng.next());
-    pi.vector().set_register(r, row);
-    pf.vector().set_register(r, row);
   }
   std::vector<u8> state_data(opts.verify_len);
   for (u8& byte : state_data) byte = static_cast<u8>(rng.next());
-  pi.dmem().write_block(opts.verify_base, state_data);
-  pf.dmem().write_block(opts.verify_base, state_data);
+  const auto machine = [&] {
+    auto p = std::make_unique<sim::SimdProcessor>(proc_config(cfg));
+    p->load_program(program->image);
+    for (unsigned r = 0; r < 32; ++r) p->vector().set_register(r, regs[r]);
+    p->dmem().write_block(opts.verify_base, state_data);
+    return p;
+  };
+  const auto interp = machine();
+  interp->run();
+  std::vector<u8> want_mem(interp->dmem().size());
+  interp->dmem().read_block(0, want_mem);
 
-  pi.run();
-  fused->execute(pf.vector(), pf.dmem(), pf.config().cycle_model);
-
-  for (unsigned r = 0; r < 32; ++r) {
-    EXPECT_EQ(pf.vector().get_register(r), pi.vector().get_register(r))
-        << "v" << r;
+  const auto check = [&](const std::string& tier, const auto& t) {
+    const auto p = machine();
+    t.execute(p->vector(), p->dmem(), p->config().cycle_model);
+    for (unsigned r = 0; r < 32; ++r) {
+      EXPECT_EQ(p->vector().get_register(r), interp->vector().get_register(r))
+          << tier << " v" << r;
+    }
+    std::vector<u8> mem(p->dmem().size());
+    p->dmem().read_block(0, mem);
+    EXPECT_EQ(mem, want_mem) << tier;
+    EXPECT_EQ(t.total_cycles(), interp->cycles()) << tier;
+    EXPECT_EQ(t.instructions(), interp->stats().instructions) << tier;
+  };
+  check("fused", *fused);
+  IsaGuard guard;
+  for (const HostSimdIsa isa :
+       {HostSimdIsa::kScalar, HostSimdIsa::kPortable, HostSimdIsa::kAvx2,
+        HostSimdIsa::kAvx512}) {
+    if (!sim::host_simd_isa_available(isa)) continue;
+    sim::host_simd_force_isa(isa);
+    const std::string name(sim::host_simd_isa_name(isa));
+    check("host-simd/" + name, *hs);
+    if (sim::jit_supported() &&
+        (isa == HostSimdIsa::kAvx2 || isa == HostSimdIsa::kAvx512)) {
+      check("jit/" + name, *sim::lower_jit(hs));
+    }
   }
-  std::vector<u8> mi(pi.dmem().size());
-  std::vector<u8> mf(pf.dmem().size());
-  pi.dmem().read_block(0, mi);
-  pf.dmem().read_block(0, mf);
-  EXPECT_EQ(mf, mi);
-  EXPECT_EQ(fused->total_cycles(), pi.cycles());
-  EXPECT_EQ(fused->instructions(), pi.stats().instructions);
 }
 
 TEST_P(FusionDifferential, Sha3DigestsMatchAcrossAllThreeBackends) {
@@ -173,8 +204,10 @@ TEST_P(FusionDifferential, Sha3DigestsMatchAcrossAllThreeBackends) {
 INSTANTIATE_TEST_SUITE_P(
     PaperConfigs, FusionDifferential,
     ::testing::Values(std::make_tuple(Arch::k64Lmul1, 1u),
+                      std::make_tuple(Arch::k64Lmul1, 6u),
                       std::make_tuple(Arch::k64Lmul8, 3u),
                       std::make_tuple(Arch::k32Lmul8, 3u),
+                      std::make_tuple(Arch::k32Lmul8, 8u),
                       std::make_tuple(Arch::k64Fused, 3u),
                       std::make_tuple(Arch::k64Lmul8, 6u)));
 
@@ -198,9 +231,9 @@ TEST(TraceFusion, PermutationCyclesMatchPinnedPaperValues) {
 TEST(TraceFusion, SplitChiIotaFusesToOneKernelPerRound) {
   // The 32-bit round is θ32, ρπ32 and ONE split χι: χ(lo) + χ(hi) + the
   // ι(lo)/ι(hi) pair, carrying the joined 64-bit round constant. The final
-  // round's χι has live-out scratch, so it falls back to its halves (χ(lo)
-  // survives; χ(hi) and the ι pair replay). Execution must match the base
-  // trace's per-record replay byte for byte.
+  // round's θ32 and χι have live-out scratch; they stay fused and write it
+  // back, with no fall-back to replay or to the χ halves. Execution must
+  // match the base trace's per-record replay byte for byte.
   const VectorKeccakConfig cfg{Arch::k32Lmul8, 15, 24};
   const auto program = VectorKeccak::build_program(cfg);
   sim::TraceCompileOptions opts;
@@ -221,15 +254,14 @@ TEST(TraceFusion, SplitChiIotaFusesToOneKernelPerRound) {
       rcs.push_back(f.iota_rc);
     }
   }
-  ASSERT_EQ(kernels.size(), 23u * 3 + 2);
-  for (usize r = 0; r < 23; ++r) {
+  ASSERT_EQ(kernels.size(), 24u * 3);
+  ASSERT_EQ(rcs.size(), 24u);
+  for (usize r = 0; r < 24; ++r) {
     EXPECT_EQ(kernels[3 * r], sim::FusedOpKind::kTheta32) << "round " << r;
     EXPECT_EQ(kernels[3 * r + 1], sim::FusedOpKind::kRhoPi32) << "round " << r;
     EXPECT_EQ(kernels[3 * r + 2], sim::FusedOpKind::kChi32) << "round " << r;
     EXPECT_EQ(rcs[r], keccak::round_constants()[r]) << "round " << r;
   }
-  EXPECT_EQ(kernels[69], sim::FusedOpKind::kRhoPi32);
-  EXPECT_EQ(kernels[70], sim::FusedOpKind::kChi);  // the surviving χ(lo)
 
   sim::SimdProcessor pt(proc_config(cfg));
   sim::SimdProcessor pf(proc_config(cfg));
@@ -412,6 +444,110 @@ data:
   sim::SimdProcessor pf(cfg);
   pi.load_program(program);
   pf.load_program(program);
+  pi.run();
+  fused->execute(pf.vector(), pf.dmem(), pf.config().cycle_model);
+  for (unsigned r = 0; r < 32; ++r) {
+    EXPECT_EQ(pf.vector().get_register(r), pi.vector().get_register(r))
+        << "v" << r;
+  }
+  std::vector<u8> mi(pi.dmem().size());
+  std::vector<u8> mf(pf.dmem().size());
+  pi.dmem().read_block(0, mi);
+  pf.dmem().read_block(0, mf);
+  EXPECT_EQ(mf, mi);
+}
+
+TEST(TraceFusion, LiveScratchWithoutRecipeStillDemotes) {
+  // θ, then the in-place ρ rows and a π scatter into v10..v14, then the
+  // stores. Everything is live at the end, so both groups have live-out
+  // scratch: θ's v5/v6/v7 have recipes and stay fused (written back), the
+  // ρ'd v0..v4 have none, so the ρπ group must still demote to per-record
+  // replay. A random register file must come out as the interpreter's.
+  const auto program = assembler::assemble(R"(
+    li s1, 5
+    vsetvli x0, s1, e64, m1, tu, mu
+    la a0, state
+    vle64.v v0, (a0)
+    addi a1, a0, 40
+    vle64.v v1, (a1)
+    addi a1, a1, 40
+    vle64.v v2, (a1)
+    addi a1, a1, 40
+    vle64.v v3, (a1)
+    addi a1, a1, 40
+    vle64.v v4, (a1)
+    vxor.vv v5, v3, v4
+    vxor.vv v6, v1, v2
+    vxor.vv v7, v0, v6
+    vxor.vv v5, v5, v7
+    vslideupm.vi v6, v5, 1
+    vslidedownm.vi v7, v5, 1
+    vrotup.vi v7, v7, 1
+    vxor.vv v5, v6, v7
+    vxor.vv v0, v0, v5
+    vxor.vv v1, v1, v5
+    vxor.vv v2, v2, v5
+    vxor.vv v3, v3, v5
+    vxor.vv v4, v4, v5
+    v64rho.vi v0, v0, 0
+    v64rho.vi v1, v1, 1
+    v64rho.vi v2, v2, 2
+    v64rho.vi v3, v3, 3
+    v64rho.vi v4, v4, 4
+    vpi.vi v10, v0, 0
+    vpi.vi v10, v1, 1
+    vpi.vi v10, v2, 2
+    vpi.vi v10, v3, 3
+    vpi.vi v10, v4, 4
+    vse64.v v10, (a0)
+    ebreak
+.data
+state:
+    .zero 200
+  )");
+  sim::ProcessorConfig cfg;
+  cfg.vector.elen_bits = 64;
+  cfg.vector.ele_num = 5;
+  const auto base = sim::compile_trace(program, cfg, {});
+  const auto fused = sim::fuse_trace(base);
+
+  ASSERT_EQ(fused->super_kernel_count(), 1u);
+  const sim::FusedOp* theta = nullptr;
+  for (const sim::FusedOp& f : fused->fused_ops()) {
+    EXPECT_NE(f.kind, sim::FusedOpKind::kRhoPi64) << "ρπ was not demoted";
+    if (f.kind == sim::FusedOpKind::kTheta64) theta = &f;
+  }
+  ASSERT_NE(theta, nullptr);
+  ASSERT_EQ(theta->scratch_count, 3u);
+  const u32 rb = static_cast<u32>(base->reg_bytes());
+  const sim::ScratchRow* rows =
+      fused->scratch_rows().data() + theta->scratch_first;
+  using V = sim::ScratchValue;
+  const std::array<std::pair<u32, V>, 3> want = {
+      std::pair{5 * rb, V::kThetaD}, std::pair{6 * rb, V::kParityPrev},
+      std::pair{7 * rb, V::kParityNextRot}};
+  for (const auto& [off, value] : want) {
+    const auto* row = std::find_if(
+        rows, rows + 3, [&](const sim::ScratchRow& r) { return r.off == off; });
+    ASSERT_NE(row, rows + 3) << "no scratch row at v" << off / rb;
+    EXPECT_EQ(row->value, value) << "v" << off / rb;
+  }
+
+  sim::SimdProcessor pi(cfg);
+  sim::SimdProcessor pf(cfg);
+  pi.load_program(program);
+  pf.load_program(program);
+  SplitMix64 rng(0xDE30);
+  std::vector<u8> row(base->reg_bytes());
+  for (unsigned r = 0; r < 32; ++r) {
+    for (u8& byte : row) byte = static_cast<u8>(rng.next());
+    pi.vector().set_register(r, row);
+    pf.vector().set_register(r, row);
+  }
+  std::vector<u8> state_data(200);
+  for (u8& byte : state_data) byte = static_cast<u8>(rng.next());
+  pi.dmem().write_block(program.symbol("state"), state_data);
+  pf.dmem().write_block(program.symbol("state"), state_data);
   pi.run();
   fused->execute(pf.vector(), pf.dmem(), pf.config().cycle_model);
   for (unsigned r = 0; r < 32; ++r) {
