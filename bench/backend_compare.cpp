@@ -1,33 +1,29 @@
-// Interpreter vs compiled-trace vs fused-trace vs host-SIMD vs jit
-// execution backend: host-throughput grid.
+// Interpreter vs host-SIMD vs jit execution backend: host-throughput grid.
 //
-// Same engine workload run five times per (SN, threads) grid point, once
+// Same engine workload run three times per (SN, threads) grid point, once
 // per execution backend. The digests of every cell are verified against the
 // host golden model AND across backends (the engine-level differential
-// check). Emits BENCH_fused.json next to the table so the host speedups of
-// every tier (trace over interpreter, fused over trace, host-simd over
-// fused) are tracked across PRs, plus BENCH_host_simd.json with the
-// host-SIMD dispatch ISA and per-cell speedups, plus BENCH_jit.json with
-// the native-emission ISA/code size and jit-over-host-simd speedups.
+// check). Emits BENCH_host_simd.json with the host-SIMD dispatch ISA and
+// per-cell speedups over the interpreter, plus BENCH_jit.json with the
+// native-emission ISA/code size and jit-over-host-simd speedups.
 //
 // Fast by default (CI runs every bench binary as a smoke test); pass
-// --check to fail with exit 1 on any digest inequality, if a faster
-// backend tier is slower than the one below it in aggregate (host-simd <
-// fused, fused < trace, or trace < interpreter), or if the thread-scaling
-// gate fails (see below). The jit tier is gated on the isolated
-// permutation-dispatch section instead of the engine aggregate (the engine
-// grid measures scheduling on few-core hosts): jit perms/s must be >=
-// KVX_JIT_MIN_SPEEDUP x host-simd at every SN >= 3. The default is
-// hardware-aware — 1.0 when the host actually emits native code, gate
-// disabled when the jit tier demotes (non-x86-64, scalar-only build).
+// --check to fail with exit 1 on any digest inequality, if the host-simd
+// backend is slower than the interpreter in aggregate, or if the
+// thread-scaling or flight-recorder gate fails (see below). The jit tier is
+// gated on the isolated permutation-dispatch section instead of the engine
+// aggregate (the engine grid measures scheduling on few-core hosts): jit
+// perms/s must be >= KVX_JIT_MIN_SPEEDUP x host-simd at every SN >= 3. The
+// default is hardware-aware — 1.0 when the host actually emits native code,
+// gate disabled when the jit tier demotes (non-x86-64, scalar-only build).
 //
-// Thread-scaling section: the fused backend at SN=6 is rerun over
+// Thread-scaling section: the host-simd backend at SN=6 is rerun over
 // threads {1,2,4,8} with a large submit_batch workload, and the 8-thread
 // over 1-thread speedup is gated. The required minimum is hardware-aware —
 // demanding 3x on an 8-hardware-thread host but only "no collapse" on a
 // 1-core CI runner, where real speedup is physically impossible — and can
 // be overridden via KVX_SCALING_MIN_SPEEDUP for noisy CI hosts. Results are
-// written to BENCH_scaling.json (committed, like BENCH_fused.json).
+// written to BENCH_scaling.json (committed, like BENCH_host_simd.json).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -40,9 +36,7 @@
 #include "kvx/engine/batch_engine.hpp"
 #include "kvx/keccak/sha3.hpp"
 #include "kvx/obs/flight_recorder.hpp"
-#include "kvx/sim/compiled_trace.hpp"
 #include "kvx/sim/host_simd.hpp"
-#include "kvx/sim/trace_fusion.hpp"
 
 namespace {
 
@@ -56,8 +50,6 @@ struct Cell {
   unsigned sn = 0;
   unsigned threads = 0;
   double interp_mbs = 0;
-  double trace_mbs = 0;
-  double fused_mbs = 0;
   double hostsimd_mbs = 0;
   double jit_mbs = 0;
 };
@@ -101,7 +93,7 @@ struct ScalingPoint {
   double speedup = 0;  ///< over the 1-thread row
 };
 
-/// Minimum required 8-over-1-thread fused speedup. Precedence: the
+/// Minimum required 8-over-1-thread host-simd speedup. Precedence: the
 /// KVX_SCALING_MIN_SPEEDUP env var (CI noise / special hosts), else a
 /// default scaled to what the host can physically deliver.
 double scaling_min_speedup(const char** source) {
@@ -163,23 +155,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::header("Execution backend comparison — interpreter vs compiled "
-                "trace vs fused trace vs host-SIMD vs jit "
-                "(SHA3-256, 96 x 200 B)");
-  std::printf("host hardware threads: %u | fused host SIMD: %s | "
-              "host-simd dispatch ISA: %s | jit: %s\n\n",
-              std::thread::hardware_concurrency(),
-              sim::fusion_host_simd() ? "on" : "off", isa_name.c_str(),
+  bench::header("Execution backend comparison — interpreter vs host-SIMD vs "
+                "jit (SHA3-256, 96 x 200 B)");
+  std::printf("host hardware threads: %u | host-simd dispatch ISA: %s | "
+              "jit: %s\n\n",
+              std::thread::hardware_concurrency(), isa_name.c_str(),
               jit_active ? jit_isa_name.c_str() : "demoted");
-  std::printf("%-18s | interp MB/s | trace MB/s | fused MB/s | h-simd MB/s "
-              "| jit MB/s | j/hs\n",
+  std::printf("%-18s | interp MB/s | h-simd MB/s | jit MB/s | j/hs\n",
               "config");
   bench::rule();
 
   std::vector<Cell> cells;
   double interp_total_s = 0;
-  double trace_total_s = 0;
-  double fused_total_s = 0;
   double hostsimd_total_s = 0;
   double jit_total_s = 0;
   double coverage = 0;
@@ -191,47 +178,33 @@ int main(int argc, char** argv) {
       c.threads = threads;
       const double is =
           run_once(sim::ExecBackend::kInterpreter, sn, threads, jobs, expected);
-      const double ts = run_once(sim::ExecBackend::kCompiledTrace, sn, threads,
-                                 jobs, expected);
-      const double fs = run_once(sim::ExecBackend::kFusedTrace, sn, threads,
-                                 jobs, expected, &coverage);
       const double hs = run_once(sim::ExecBackend::kHostSimd, sn, threads,
-                                 jobs, expected, nullptr, &hs_coverage);
+                                 jobs, expected, &coverage, &hs_coverage);
       const double js =
           run_once(sim::ExecBackend::kJit, sn, threads, jobs, expected);
       interp_total_s += is;
-      trace_total_s += ts;
-      fused_total_s += fs;
       hostsimd_total_s += hs;
       jit_total_s += js;
       c.interp_mbs = mb / is;
-      c.trace_mbs = mb / ts;
-      c.fused_mbs = mb / fs;
       c.hostsimd_mbs = mb / hs;
       c.jit_mbs = mb / js;
       cells.push_back(c);
-      std::printf("SN=%u  %u thread%s  | %11.2f | %10.2f | %10.2f | %11.2f "
-                  "| %8.2f | %5.2fx\n",
+      std::printf("SN=%u  %u thread%s  | %11.2f | %11.2f | %8.2f | %5.2fx\n",
                   sn, threads, threads == 1 ? " " : "s", c.interp_mbs,
-                  c.trace_mbs, c.fused_mbs, c.hostsimd_mbs, c.jit_mbs,
-                  hs / js);
+                  c.hostsimd_mbs, c.jit_mbs, hs / js);
     }
     bench::rule();
   }
   const double n = static_cast<double>(cells.size());
   const double agg_interp = mb * n / interp_total_s;
-  const double agg_trace = mb * n / trace_total_s;
-  const double agg_fused = mb * n / fused_total_s;
   const double agg_hostsimd = mb * n / hostsimd_total_s;
   const double agg_jit = mb * n / jit_total_s;
   const sim::TraceCacheStats tc = sim::TraceCache::global().stats();
-  std::printf("aggregate: interpreter %.2f MB/s, trace %.2f MB/s (%.2fx), "
-              "fused %.2f MB/s (%.2fx over trace), host-simd %.2f MB/s "
-              "(%.2fx over fused), jit %.2f MB/s (%.2fx over host-simd)\n",
-              agg_interp, agg_trace, interp_total_s / trace_total_s, agg_fused,
-              trace_total_s / fused_total_s, agg_hostsimd,
-              fused_total_s / hostsimd_total_s, agg_jit,
-              hostsimd_total_s / jit_total_s);
+  std::printf("aggregate: interpreter %.2f MB/s, host-simd %.2f MB/s "
+              "(%.2fx over the interpreter), jit %.2f MB/s (%.2fx over "
+              "host-simd)\n",
+              agg_interp, agg_hostsimd, interp_total_s / hostsimd_total_s,
+              agg_jit, hostsimd_total_s / jit_total_s);
   std::printf("trace cache: %llu compiles (%.2f ms), %llu fusions (%.2f ms), "
               "%llu lowerings (%.2f ms), %llu jit emissions (%.2f ms), "
               "%llu hits, %llu rejected | fusion coverage %.1f%% | host-simd "
@@ -250,51 +223,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(tc.entries),
               static_cast<unsigned long long>(tc.resident_bytes));
 
-  std::FILE* f = std::fopen("BENCH_fused.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"backend_compare\",\n");
-    std::fprintf(f, "  \"jobs\": %zu,\n  \"bytes_per_job\": %zu,\n", kJobs,
-                 kBytes);
-    std::fprintf(f, "  \"host_simd\": %s,\n",
-                 sim::fusion_host_simd() ? "true" : "false");
-    std::fprintf(f, "  \"grid\": [\n");
-    for (usize i = 0; i < cells.size(); ++i) {
-      const Cell& c = cells[i];
-      std::fprintf(
-          f,
-          "    {\"sn\": %u, \"threads\": %u, \"interpreter_mbs\": %.3f, "
-          "\"trace_mbs\": %.3f, \"fused_mbs\": %.3f, \"hostsimd_mbs\": %.3f, "
-          "\"fused_over_trace\": %.3f, \"hostsimd_over_fused\": %.3f}%s\n",
-          c.sn, c.threads, c.interp_mbs, c.trace_mbs, c.fused_mbs,
-          c.hostsimd_mbs, c.fused_mbs / c.trace_mbs,
-          c.hostsimd_mbs / c.fused_mbs, i + 1 < cells.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"aggregate\": {\"interpreter_mbs\": %.3f, \"trace_mbs\": "
-                 "%.3f, \"fused_mbs\": %.3f, \"hostsimd_mbs\": %.3f, "
-                 "\"trace_speedup\": %.3f, \"fused_over_trace\": %.3f, "
-                 "\"hostsimd_over_fused\": %.3f},\n",
-                 agg_interp, agg_trace, agg_fused, agg_hostsimd,
-                 interp_total_s / trace_total_s,
-                 trace_total_s / fused_total_s,
-                 fused_total_s / hostsimd_total_s);
-    std::fprintf(f, "  \"fusion_coverage\": %.4f,\n", coverage);
-    std::fprintf(f,
-                 "  \"trace_cache\": {\"compiles\": %llu, \"fusions\": %llu, "
-                 "\"hits\": %llu, \"failures\": %llu, \"compile_ms\": %.3f, "
-                 "\"fuse_ms\": %.3f}\n}\n",
-                 static_cast<unsigned long long>(tc.compiles),
-                 static_cast<unsigned long long>(tc.fusions),
-                 static_cast<unsigned long long>(tc.hits),
-                 static_cast<unsigned long long>(tc.failures),
-                 static_cast<double>(tc.compile_ns) / 1e6,
-                 static_cast<double>(tc.fuse_ns) / 1e6);
-    std::fclose(f);
-    std::printf("wrote BENCH_fused.json\n");
-  }
-
-  // --- thread scaling (fused, SN=6, bulk submit) -------------------------------
+  // --- thread scaling (host-simd, SN=6, bulk submit) -------------------------
 
   constexpr usize kScaleJobs = 4096;
   constexpr unsigned kScaleSn = 6;
@@ -307,13 +236,13 @@ int main(int argc, char** argv) {
     scale_jobs[i] = jobs[i % kJobs];
     scale_expected[i] = expected[i % kJobs];
   }
-  bench::header("Thread scaling — fused backend, SN=6, bulk submit "
+  bench::header("Thread scaling — host-simd backend, SN=6, bulk submit "
                 "(4096 x 200 B)");
   std::printf("%-10s | MB/s      | speedup over 1 thread\n", "threads");
   bench::rule();
   std::vector<ScalingPoint> scaling;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    const double s = run_once(sim::ExecBackend::kFusedTrace, kScaleSn, threads,
+    const double s = run_once(sim::ExecBackend::kHostSimd, kScaleSn, threads,
                               scale_jobs, scale_expected);
     ScalingPoint p;
     p.threads = threads;
@@ -333,22 +262,23 @@ int main(int argc, char** argv) {
   // --- flight-recorder overhead ------------------------------------------------
   //
   // The recorder is always-on by design, so its cost is gated, not assumed:
-  // the single-threaded fused SN=6 workload runs with the recorder enabled
+  // the single-threaded host-simd SN=6 workload runs with the recorder enabled
   // and disabled, interleaved best-of-3 (interleaving cancels thermal and
   // cache drift; best-of cancels scheduler noise). The enabled run must be
   // within KVX_FLIGHTREC_MAX_OVERHEAD (default 5%) of the disabled run.
-  bench::header("Flight-recorder overhead — fused backend, SN=6, 1 thread");
+  bench::header(
+      "Flight-recorder overhead — host-simd backend, SN=6, 1 thread");
   obs::FlightRecorder& recorder = obs::FlightRecorder::global();
   double best_on = 1e100;
   double best_off = 1e100;
   for (int rep = 0; rep < 3; ++rep) {
     recorder.set_enabled(true);
     best_on = std::min(best_on,
-                       run_once(sim::ExecBackend::kFusedTrace, kScaleSn, 1,
+                       run_once(sim::ExecBackend::kHostSimd, kScaleSn, 1,
                                 scale_jobs, scale_expected));
     recorder.set_enabled(false);
     best_off = std::min(best_off,
-                        run_once(sim::ExecBackend::kFusedTrace, kScaleSn, 1,
+                        run_once(sim::ExecBackend::kHostSimd, kScaleSn, 1,
                                  scale_jobs, scale_expected));
   }
   recorder.set_enabled(true);
@@ -376,7 +306,8 @@ int main(int argc, char** argv) {
   std::FILE* ff = std::fopen("BENCH_flightrec.json", "w");
   if (ff != nullptr) {
     std::fprintf(ff, "{\n  \"bench\": \"backend_compare_flightrec\",\n");
-    std::fprintf(ff, "  \"backend\": \"fused\",\n  \"sn\": %u,\n", kScaleSn);
+    std::fprintf(ff, "  \"backend\": \"host-simd\",\n  \"sn\": %u,\n",
+                 kScaleSn);
     std::fprintf(ff, "  \"jobs\": %zu,\n  \"bytes_per_job\": %zu,\n",
                  kScaleJobs, kBytes);
     std::fprintf(ff,
@@ -392,33 +323,15 @@ int main(int argc, char** argv) {
     std::printf("wrote BENCH_flightrec.json\n");
   }
 
-  // --- permutation dispatch: host-simd vs fused --------------------------------
+  // --- permutation dispatch: jit vs host-simd --------------------------------
   //
   // The engine grid above includes sponge bookkeeping, queueing and result
   // routing, which dilute the accelerator-dispatch speedup (most visibly on
   // few-core hosts where the scheduler is the bottleneck). This section
-  // isolates what the host-SIMD tier actually lowers: the permute()
-  // dispatch itself, single-threaded. The gate is env-overridable via
-  // KVX_HOSTSIMD_MIN_SPEEDUP (default 1.0: never slower than fused; on
-  // AVX2+ hosts the measured ratio at SN>=6 should be >= 2).
-  bench::header(
-      "Permutation dispatch — jit vs host-simd vs fused, single thread");
-  std::printf("%-6s | fused perms/s | h-simd perms/s | hs/f  | jit perms/s "
-              "| j/hs\n",
-              "SN");
+  // isolates the permute() dispatch itself, single-threaded.
+  bench::header("Permutation dispatch — jit vs host-simd, single thread");
+  std::printf("%-6s | h-simd perms/s | jit perms/s | j/hs\n", "SN");
   bench::rule();
-  double min_hs_speedup = 1.0;
-  const char* hs_gate_source = "default";
-  if (const char* env = std::getenv("KVX_HOSTSIMD_MIN_SPEEDUP")) {
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end != env && v > 0.0) {
-      min_hs_speedup = v;
-      hs_gate_source = "env:KVX_HOSTSIMD_MIN_SPEEDUP";
-    } else {
-      std::printf("ignoring malformed KVX_HOSTSIMD_MIN_SPEEDUP='%s'\n", env);
-    }
-  }
   // jit-over-host-simd dispatch gate. Hardware-aware default: the emitted
   // code must never be slower than the plan walker it replaces (1.0) when
   // the host emits at all; on hosts where the jit tier demotes the two
@@ -438,12 +351,10 @@ int main(int argc, char** argv) {
   }
   struct DispatchPoint {
     unsigned sn;
-    double fused_ps;
     double hostsimd_ps;
     double jit_ps;
   };
   std::vector<DispatchPoint> dispatch;
-  bool dispatch_ok = true;
   bool jit_dispatch_ok = true;
   for (const unsigned sn : {1u, 3u, 6u, 8u}) {
     const auto perms_per_sec = [&](sim::ExecBackend backend) {
@@ -465,29 +376,23 @@ int main(int argc, char** argv) {
       const double s = std::chrono::duration<double>(Clock::now() - t0).count();
       return static_cast<double>(kIters) * sn / s;
     };
-    DispatchPoint p{sn, perms_per_sec(sim::ExecBackend::kFusedTrace),
-                    perms_per_sec(sim::ExecBackend::kHostSimd),
+    DispatchPoint p{sn, perms_per_sec(sim::ExecBackend::kHostSimd),
                     perms_per_sec(sim::ExecBackend::kJit)};
     dispatch.push_back(p);
-    const double ratio = p.hostsimd_ps / p.fused_ps;
     const double jit_ratio = p.jit_ps / p.hostsimd_ps;
     // SN=1 barely exercises the packed runners (one state per group) and
     // its ratio is dominated by measurement noise: report it, gate SN>=3.
-    if (sn >= 3 && ratio < min_hs_speedup) dispatch_ok = false;
     if (sn >= 3 && jit_ratio < min_jit_speedup) jit_dispatch_ok = false;
-    std::printf("SN=%-3u | %13.0f | %14.0f | %4.2fx | %11.0f | %4.2fx\n", sn,
-                p.fused_ps, p.hostsimd_ps, ratio, p.jit_ps, jit_ratio);
+    std::printf("SN=%-3u | %14.0f | %11.0f | %4.2fx\n", sn, p.hostsimd_ps,
+                p.jit_ps, jit_ratio);
   }
-  std::printf("dispatch speedup required >= %.2fx per SN>=3 (%s): %s\n",
-              min_hs_speedup, hs_gate_source,
-              dispatch_ok ? "ok" : "BELOW GATE");
   std::printf("jit dispatch speedup required >= %.2fx per SN>=3 (%s): %s\n",
               min_jit_speedup, jit_gate_source,
               jit_dispatch_ok ? "ok" : "BELOW GATE");
 
   // Host-SIMD-specific record: dispatch ISA, lowering coverage, per-cell
-  // engine speedups over the fused tier (the tier it lowers), and the
-  // isolated permutation-dispatch grid.
+  // engine speedups over the interpreter, and the isolated
+  // permutation-dispatch grid.
   std::FILE* hf = std::fopen("BENCH_host_simd.json", "w");
   if (hf != nullptr) {
     std::fprintf(hf, "{\n  \"bench\": \"backend_compare_host_simd\",\n");
@@ -504,9 +409,10 @@ int main(int argc, char** argv) {
       const Cell& c = cells[i];
       std::fprintf(hf,
                    "    {\"sn\": %u, \"threads\": %u, \"hostsimd_mbs\": %.3f, "
-                   "\"fused_mbs\": %.3f, \"speedup_over_fused\": %.3f}%s\n",
-                   c.sn, c.threads, c.hostsimd_mbs, c.fused_mbs,
-                   c.hostsimd_mbs / c.fused_mbs,
+                   "\"interpreter_mbs\": %.3f, "
+                   "\"speedup_over_interpreter\": %.3f}%s\n",
+                   c.sn, c.threads, c.hostsimd_mbs, c.interp_mbs,
+                   c.hostsimd_mbs / c.interp_mbs,
                    i + 1 < cells.size() ? "," : "");
     }
     std::fprintf(hf, "  ],\n");
@@ -514,22 +420,15 @@ int main(int argc, char** argv) {
     for (usize i = 0; i < dispatch.size(); ++i) {
       const DispatchPoint& p = dispatch[i];
       std::fprintf(hf,
-                   "    {\"sn\": %u, \"fused_perms_per_sec\": %.0f, "
-                   "\"hostsimd_perms_per_sec\": %.0f, "
-                   "\"speedup_over_fused\": %.3f}%s\n",
-                   p.sn, p.fused_ps, p.hostsimd_ps, p.hostsimd_ps / p.fused_ps,
-                   i + 1 < dispatch.size() ? "," : "");
+                   "    {\"sn\": %u, \"hostsimd_perms_per_sec\": %.0f}%s\n",
+                   p.sn, p.hostsimd_ps, i + 1 < dispatch.size() ? "," : "");
     }
     std::fprintf(hf, "  ],\n");
     std::fprintf(hf,
-                 "  \"aggregate\": {\"hostsimd_mbs\": %.3f, \"fused_mbs\": "
-                 "%.3f, \"speedup_over_fused\": %.3f},\n",
-                 agg_hostsimd, agg_fused, fused_total_s / hostsimd_total_s);
-    std::fprintf(hf,
-                 "  \"dispatch_gate\": {\"min_speedup\": %.3f, \"source\": "
-                 "\"%s\", \"pass\": %s}\n}\n",
-                 min_hs_speedup, hs_gate_source,
-                 dispatch_ok ? "true" : "false");
+                 "  \"aggregate\": {\"hostsimd_mbs\": %.3f, "
+                 "\"interpreter_mbs\": %.3f, \"speedup_over_interpreter\": "
+                 "%.3f}\n}\n",
+                 agg_hostsimd, agg_interp, interp_total_s / hostsimd_total_s);
     std::fclose(hf);
     std::printf("wrote BENCH_host_simd.json\n");
   }
@@ -589,7 +488,8 @@ int main(int argc, char** argv) {
   std::FILE* sf = std::fopen("BENCH_scaling.json", "w");
   if (sf != nullptr) {
     std::fprintf(sf, "{\n  \"bench\": \"backend_compare_scaling\",\n");
-    std::fprintf(sf, "  \"backend\": \"fused\",\n  \"sn\": %u,\n", kScaleSn);
+    std::fprintf(sf, "  \"backend\": \"host-simd\",\n  \"sn\": %u,\n",
+                 kScaleSn);
     std::fprintf(sf, "  \"jobs\": %zu,\n  \"bytes_per_job\": %zu,\n",
                  kScaleJobs, kBytes);
     std::fprintf(sf, "  \"host_threads\": %u,\n",
@@ -611,31 +511,15 @@ int main(int argc, char** argv) {
     std::printf("wrote BENCH_scaling.json\n");
   }
 
-  if (check && agg_trace < agg_interp) {
-    std::printf("CHECK FAILED: compiled-trace backend slower than the "
-                "interpreter in aggregate\n");
-    return 1;
-  }
-  if (check && agg_fused < agg_trace) {
-    std::printf("CHECK FAILED: fused backend slower than the compiled trace "
-                "in aggregate\n");
-    return 1;
-  }
-  if (check && agg_hostsimd < agg_fused) {
-    std::printf("CHECK FAILED: host-simd backend slower than the fused trace "
+  if (check && agg_hostsimd < agg_interp) {
+    std::printf("CHECK FAILED: host-simd backend slower than the interpreter "
                 "in aggregate\n");
     return 1;
   }
   if (check && !scaling_ok) {
-    std::printf("CHECK FAILED: 8-thread fused speedup %.2fx is below the "
+    std::printf("CHECK FAILED: 8-thread host-simd speedup %.2fx is below the "
                 "%.2fx scaling gate (%s)\n",
                 speedup_8, min_speedup, gate_source);
-    return 1;
-  }
-  if (check && !dispatch_ok) {
-    std::printf("CHECK FAILED: host-simd permutation dispatch below the "
-                "%.2fx gate (%s)\n",
-                min_hs_speedup, hs_gate_source);
     return 1;
   }
   if (check && !jit_dispatch_ok) {

@@ -6,7 +6,7 @@
 // throughput goal adds: how fast a pool of worker shards (one simulated
 // accelerator each) retires a batch workload, against the single-threaded
 // ParallelSha3 baseline at the same SN. Each engine grid point runs once
-// per execution backend (interpreter, compiled trace). Every digest is
+// per execution backend (interpreter, host-simd). Every digest is
 // verified against the host golden model. Deterministic workload
 // (bench_util::random_bytes, fixed seed) so only timings vary between runs.
 #include <chrono>
@@ -54,7 +54,7 @@ int main() {
   std::printf("%-28s | wall ms | jobs/s  |  MB/s  | vs baseline\n", "config");
   bench::rule();
 
-  double sn6t8_mbs[2] = {0, 0};  // [interpreter, trace] at SN=6, 8 threads
+  double sn6t8_mbs[2] = {0, 0};  // [interpreter, host-simd] at SN=6, 8 threads
   for (const unsigned sn : {1u, 3u, 6u}) {
     const core::VectorKeccakConfig accel{core::Arch::k64Lmul8, 5 * sn, 24};
 
@@ -74,7 +74,7 @@ int main() {
                 sn, base_s * 1e3, kJobs / base_s, mb / base_s, "1.00x");
 
     for (const sim::ExecBackend backend :
-         {sim::ExecBackend::kInterpreter, sim::ExecBackend::kCompiledTrace}) {
+         {sim::ExecBackend::kInterpreter, sim::ExecBackend::kHostSimd}) {
       for (const unsigned threads : {1u, 2u, 4u, 8u}) {
         engine::EngineConfig cfg;
         cfg.threads = threads;
@@ -96,8 +96,8 @@ int main() {
         // Derived rates come from the shared EngineStats::throughput over
         // the bench's own submit-to-drain window, not local arithmetic.
         const engine::ThroughputStats tp = eng.stats().throughput(wall_ns);
-        const bool is_trace = backend == sim::ExecBackend::kCompiledTrace;
-        if (sn == 6 && threads == 8) sn6t8_mbs[is_trace ? 1 : 0] = tp.mb_per_sec;
+        const bool is_hs = backend == sim::ExecBackend::kHostSimd;
+        if (sn == 6 && threads == 8) sn6t8_mbs[is_hs ? 1 : 0] = tp.mb_per_sec;
         std::printf("SN=%u  %-11s %u thread%s | %7.1f | %7.0f | %6.2f | %8.2fx\n",
                     sn, std::string(sim::backend_name(backend)).c_str(),
                     threads, threads == 1 ? " " : "s", s * 1e3, tp.jobs_per_sec,
@@ -106,7 +106,7 @@ int main() {
     }
     bench::rule();
   }
-  std::printf("compiled trace vs interpreter at SN=6, 8 threads: %.2fx host "
+  std::printf("host-simd vs interpreter at SN=6, 8 threads: %.2fx host "
               "MB/s\n",
               sn6t8_mbs[0] > 0 ? sn6t8_mbs[1] / sn6t8_mbs[0] : 0.0);
   std::printf("(speedup scales with physical cores; digests verified against "

@@ -102,8 +102,8 @@ class ParallelSha3 {
     return vk_.last_dispatch_attempts();
   }
 
-  /// Fraction of trace records fused into super-kernels ([0, 1]); 0 unless
-  /// the active backend is the fused trace.
+  /// Fraction of trace records the fusion matcher covers with
+  /// super-kernels ([0, 1]); 0 on the interpreter.
   [[nodiscard]] double fusion_coverage() const noexcept {
     return vk_.fusion_coverage();
   }

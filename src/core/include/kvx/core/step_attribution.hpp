@@ -14,8 +14,8 @@
 //
 // Since the segments tile [kPermStart .. kPermEnd] exactly, the invariant
 // theta + rho_pi + chi_iota + absorb + other == total holds by construction
-// on every backend — the trace and fused backends replay the marker stream
-// recorded from the interpreter bit-identically.
+// on every backend — the host-simd and jit backends pass through the marker
+// stream recorded from the interpreter bit-identically.
 #pragma once
 
 #include <span>

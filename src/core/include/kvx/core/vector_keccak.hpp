@@ -15,12 +15,10 @@
 #include "kvx/core/program_builder.hpp"
 #include "kvx/core/step_attribution.hpp"
 #include "kvx/keccak/state.hpp"
-#include "kvx/sim/compiled_trace.hpp"
 #include "kvx/sim/exec_backend.hpp"
 #include "kvx/sim/fault_injector.hpp"
 #include "kvx/sim/host_simd.hpp"
 #include "kvx/sim/jit/jit_trace.hpp"
-#include "kvx/sim/trace_fusion.hpp"
 #include "kvx/sim/processor.hpp"
 
 namespace kvx::core {
@@ -31,11 +29,10 @@ struct VectorKeccakConfig {
   unsigned rounds = 24;
   unsigned first_round = 0;  ///< ι round-constant start (12 for Keccak-p[1600,12])
 
-  /// Functional execution backend. The jit/host-simd/fused/trace backends
-  /// produce bit-identical digests, register state and cycle counts; a
-  /// compile rejection or a runtime SimError demotes tier by tier
-  /// (jit → host-simd → fused → trace → interpreter) rather than failing
-  /// the run.
+  /// Functional execution backend. The jit and host-simd backends produce
+  /// digests, register state and cycle counts bit-identical to the
+  /// interpreter's; a compile rejection or a runtime SimError demotes tier
+  /// by tier (jit → host-simd → interpreter) rather than failing the run.
   sim::ExecBackend backend = sim::ExecBackend::kInterpreter;
 
   /// Optional deterministic fault injector (null = disabled). Shared by
@@ -95,7 +92,7 @@ class VectorKeccak {
   ///
   /// Fail-soft: a SimError on any compiled tier (injected fault, replay
   /// fault, host-ISA drift under the jit) demotes THIS dispatch one tier
-  /// at a time — jit → host-simd → fused → trace → interpreter —
+  /// at a time — jit → host-simd → interpreter —
   /// restaging the input states before each retry, so transient faults
   /// cost a fallback, not a wrong digest. Only an interpreter-tier
   /// SimError propagates to the caller.
@@ -105,10 +102,8 @@ class VectorKeccak {
   /// downgraded if trace compilation was rejected (or injected-failed).
   [[nodiscard]] sim::ExecBackend active_backend() const noexcept {
     if (jit_ != nullptr) return sim::ExecBackend::kJit;
-    if (hs_ != nullptr) return sim::ExecBackend::kHostSimd;
-    if (fused_ != nullptr) return sim::ExecBackend::kFusedTrace;
-    return trace_ != nullptr ? sim::ExecBackend::kCompiledTrace
-                             : sim::ExecBackend::kInterpreter;
+    return hs_ != nullptr ? sim::ExecBackend::kHostSimd
+                          : sim::ExecBackend::kInterpreter;
   }
 
   /// Backend that actually completed the last successful permute() — equal
@@ -142,11 +137,11 @@ class VectorKeccak {
     return dispatch_attempts_;
   }
 
-  /// Fraction of trace records covered by super-kernels ([0, 1]); 0 when
-  /// the active backend is neither the fused trace nor host-simd (which
-  /// shares the fused artifact).
+  /// Fraction of trace records the fusion matcher covers with
+  /// super-kernels ([0, 1]), read from the host-SIMD plan's fused trace; 0
+  /// on the interpreter.
   [[nodiscard]] double fusion_coverage() const noexcept {
-    return fused_ != nullptr ? fused_->coverage() : 0.0;
+    return hs_ != nullptr ? hs_->fused().coverage() : 0.0;
   }
 
   /// Fraction of trace records the host-SIMD plan lowers to host
@@ -174,7 +169,7 @@ class VectorKeccak {
 
   /// Per-step cycle attribution of the last permute() run (θ/ρπ/χι plus
   /// loop overhead; see step_attribution.hpp). Bit-identical across the
-  /// three backends: the trace and fused backends replay the marker stream
+  /// three backends: host-simd and jit pass through the marker stream
   /// recorded from the interpreter, so their attribution is computed once
   /// at compile time and reused.
   [[nodiscard]] const obs::StepCycleStats& last_step_cycles() const noexcept {
@@ -205,16 +200,13 @@ class VectorKeccak {
   PermutationTiming timing_;
   obs::StepCycleStats step_cycles_;
   /// Attribution of the immutable recorded marker stream, computed once at
-  /// construction and reused by every trace-backed dispatch (the trace,
-  /// fused and host-simd tiers all replay the same stream).
+  /// construction and reused by every host-simd and jit dispatch.
   obs::StepCycleStats trace_step_cycles_;
   /// Reused staging scratch (one plane-major block); mutable because
   /// unstage_states() is logically const.
   mutable std::vector<u8> stage_block_;
-  std::shared_ptr<const sim::CompiledTrace> trace_;  ///< null = interpreter
-  std::shared_ptr<const sim::FusedTrace> fused_;     ///< kFusedTrace and up
-  std::shared_ptr<const sim::HostSimdTrace> hs_;     ///< kHostSimd and up
-  std::shared_ptr<const sim::JitTrace> jit_;         ///< kJit only
+  std::shared_ptr<const sim::HostSimdTrace> hs_;  ///< null = interpreter
+  std::shared_ptr<const sim::JitTrace> jit_;      ///< kJit only
   sim::ExecBackend last_backend_ = sim::ExecBackend::kInterpreter;
   u64 fallbacks_ = 0;               ///< cumulative backend demotions
   std::string last_fallback_error_; ///< reason of the latest demotion

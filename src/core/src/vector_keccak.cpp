@@ -74,11 +74,12 @@ VectorKeccak::VectorKeccak(const VectorKeccakConfig& config,
   // data-independence check: its contents differ between the two recording
   // runs, so any program whose control flow or operands depend on state
   // data is rejected. Rejection (genuine or injected) demotes tier by tier
-  // — fused → trace → interpreter — and each demotion is counted.
+  // — jit → host-simd → interpreter — and each demotion is counted.
   sim::TraceCompileOptions opts;
   opts.verify_base = state_base_;
   opts.verify_len = usize{5} * config_.ele_num * 8;
   sim::FaultInjector* inj = config_.fault_injector.get();
+  sim::TraceCache& cache = sim::TraceCache::global();
   for (sim::ExecBackend tier = config_.backend;
        tier != sim::ExecBackend::kInterpreter;
        tier = sim::demote_backend(tier)) {
@@ -90,50 +91,31 @@ VectorKeccak::VectorKeccak(const VectorKeccakConfig& config,
         inj->fail_compile(std::string(sim::backend_name(tier)));
       }
       if (tier == sim::ExecBackend::kJit) {
-        jit_ = sim::TraceCache::global().get_or_compile_jit(
-            program_->image, processor_config(config_), opts);
-        // Demotion targets of transient jit dispatch faults (including
-        // host-ISA drift): the native code shares its host-SIMD plan and,
-        // through it, the whole lower chain — no extra cache round trips.
+        jit_ = cache.get_or_compile_jit(program_->image,
+                                        processor_config(config_), opts);
+        // Demotion target of transient jit dispatch faults (including
+        // host-ISA drift): the native code shares its host-SIMD plan, so
+        // no extra cache round trip.
         hs_ = jit_->shared_host_simd();
-        fused_ = hs_->shared_fused();
-        trace_ = fused_->shared_base();
-      } else if (tier == sim::ExecBackend::kHostSimd) {
-        hs_ = sim::TraceCache::global().get_or_compile_host_simd(
-            program_->image, processor_config(config_), opts);
-        // Demotion targets of transient host-simd dispatch faults: the
-        // plan shares its fused artifact and (through it) the base
-        // recording, so no extra cache round trips.
-        fused_ = hs_->shared_fused();
-        trace_ = fused_->shared_base();
-      } else if (tier == sim::ExecBackend::kFusedTrace) {
-        fused_ = sim::TraceCache::global().get_or_compile_fused(
-            program_->image, processor_config(config_), opts);
-        // Demotion target of transient fused-dispatch faults: the fused
-        // artifact already shares its base recording, so no extra cache
-        // round trip (and no extra cache-hit accounting).
-        trace_ = fused_->shared_base();
       } else {
-        trace_ = sim::TraceCache::global().get_or_compile(
-            program_->image, processor_config(config_), opts);
+        hs_ = cache.get_or_compile_host_simd(program_->image,
+                                             processor_config(config_), opts);
       }
       break;
     } catch (const SimError& e) {
       jit_ = nullptr;
       hs_ = nullptr;
-      fused_ = nullptr;
-      trace_ = nullptr;
       construction_attempts_.push_back(
           {tier, e.what(), is_injected_error(e.what())});
       note_fallback(tier, sim::demote_backend(tier), e.what());
     }
   }
   last_backend_ = active_backend();
-  if (trace_ != nullptr) {
+  if (hs_ != nullptr) {
     // The marker stream was recorded once from the interpreter and is
-    // immutable; every trace-backed tier replays it verbatim, so its
+    // immutable; both trace-backed tiers pass it through verbatim, so its
     // attribution can be computed here instead of on every dispatch.
-    trace_step_cycles_ = attribute_step_cycles(trace_->markers());
+    trace_step_cycles_ = attribute_step_cycles(hs_->markers());
   }
 }
 
@@ -221,7 +203,7 @@ void VectorKeccak::run_backend(sim::ExecBackend tier,
   if (tier == sim::ExecBackend::kJit) {
     // Emitted native code over the host-SIMD plan; register file, data
     // memory and (pass-through) timing are bit-identical to the host-simd
-    // tier — and hence every tier below it.
+    // tier — and hence the interpreter.
     proc_->vector().clear_registers();
     jit_->execute(proc_->vector(), proc_->dmem(),
                   proc_->config().cycle_model);
@@ -231,9 +213,9 @@ void VectorKeccak::run_backend(sim::ExecBackend tier,
     timing_.instructions = jit_->instructions();
     step_cycles_ = trace_step_cycles_;
   } else if (tier == sim::ExecBackend::kHostSimd) {
-    // Lowered super-kernel runs on the host's own vector ISA; register
-    // file and data memory end up bit-identical to the fused tier (and
-    // hence the interpreter); timing passes through unchanged.
+    // Lowered segments on the host's own vector ISA plus replayed record
+    // ranges; register file and data memory end up bit-identical to the
+    // interpreter; timing passes through unchanged.
     proc_->vector().clear_registers();
     hs_->execute(proc_->vector(), proc_->dmem(),
                  proc_->config().cycle_model);
@@ -241,29 +223,6 @@ void VectorKeccak::run_backend(sim::ExecBackend tier,
     timing_.permutation_cycles =
         hs_->cycles_between(Markers::kPermStart, Markers::kPermEnd);
     timing_.instructions = hs_->instructions();
-    step_cycles_ = trace_step_cycles_;
-  } else if (tier == sim::ExecBackend::kFusedTrace) {
-    // Super-kernel replay: architectural effects identical to the base
-    // trace (and hence the interpreter); timing passes through unchanged.
-    proc_->vector().clear_registers();
-    fused_->execute(proc_->vector(), proc_->dmem(),
-                    proc_->config().cycle_model);
-    timing_.total_cycles = fused_->total_cycles();
-    timing_.permutation_cycles =
-        fused_->cycles_between(Markers::kPermStart, Markers::kPermEnd);
-    timing_.instructions = fused_->instructions();
-    step_cycles_ = trace_step_cycles_;
-  } else if (tier == sim::ExecBackend::kCompiledTrace) {
-    // Replay the pre-decoded kernel trace. Register file and data memory
-    // end up bit-identical to an interpreter run; timing was recorded from
-    // the interpreter under the same cycle model.
-    proc_->vector().clear_registers();
-    trace_->execute(proc_->vector(), proc_->dmem(),
-                    proc_->config().cycle_model);
-    timing_.total_cycles = trace_->total_cycles();
-    timing_.permutation_cycles =
-        trace_->cycles_between(Markers::kPermStart, Markers::kPermEnd);
-    timing_.instructions = trace_->instructions();
     step_cycles_ = trace_step_cycles_;
   } else {
     proc_->reset_run_state();

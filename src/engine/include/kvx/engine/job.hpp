@@ -78,7 +78,7 @@ struct HashJob {
 /// One entry of a job's demotion path: a backend tier the accelerator tried
 /// while producing (or failing) the job, in chain order.
 struct TierAttempt {
-  /// Backend tier name ("jit", "host-simd", "fused", "trace", "interpreter").
+  /// Backend tier name ("jit", "host-simd", "interpreter").
   std::string backend;
   /// Why the tier was rejected or faulted; "" when it succeeded.
   std::string error;
@@ -94,8 +94,9 @@ struct JobResult {
   std::vector<u8> digest;
   /// Failure reason; empty means the job succeeded.
   std::string error;
-  /// Execution backend that produced the digest ("interpreter" / "trace" /
-  /// "fused"); empty when the job failed before reaching a shard.
+  /// Execution backend that produced the digest ("interpreter" /
+  /// "host-simd" / "jit"); empty when the job failed before reaching a
+  /// shard.
   std::string backend;
   /// Failure forensics: every tier the accelerator tried for this job —
   /// construction-time rejections first, then the dispatch chain. Empty for

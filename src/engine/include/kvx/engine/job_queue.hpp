@@ -1,7 +1,7 @@
 // Sharded lock-free job queue for the batch hashing engine.
 //
-// v1 was a single mutex+condvar MPMC queue; BENCH_fused.json showed it is
-// exactly where host-thread scaling died (flat-to-declining fused MB/s from
+// v1 was a single mutex+condvar MPMC queue; the engine benchmarks showed it
+// is exactly where host-thread scaling died (flat-to-declining MB/s from
 // 1 to 8 threads). v2 shards the queue: one bounded lock-free MPMC ring
 // (kvx/engine/job_ring.hpp) per worker. Producers distribute jobs over the
 // rings round-robin — in contiguous *chunks* for bulk submits, so each

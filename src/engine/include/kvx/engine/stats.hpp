@@ -65,8 +65,8 @@ struct EngineStats {
   /// all zero at quiescent points).
   std::vector<usize> queue_shard_depths;
   /// Execution backend the shard accelerators run
-  /// ("interpreter"/"trace"/"fused"/"host-simd"/"jit"); the active one,
-  /// i.e. already downgraded if trace compilation or lowering failed.
+  /// ("interpreter"/"host-simd"/"jit"); the active one, i.e. already
+  /// downgraded if trace compilation or jit emission failed.
   std::string backend;
   /// Backend that actually completed the most recent dispatch — equal to
   /// `backend` unless that dispatch demoted mid-chain (fail-soft retry).
@@ -76,9 +76,11 @@ struct EngineStats {
   /// the ISA the native code was emitted for; "" unless the effective
   /// backend is host-simd or jit.
   std::string host_simd_isa;
-  /// Trace-record fraction covered by super-kernels; 0 unless fused.
+  /// Trace-record fraction the fusion matcher covers with super-kernels,
+  /// read from the host-SIMD plan; 0 on the interpreter.
   double fusion_coverage = 0.0;
-  /// Trace-record fraction lowered to host intrinsics; 0 unless host-simd.
+  /// Trace-record fraction lowered to host intrinsics; 0 on the
+  /// interpreter.
   double host_simd_coverage = 0.0;
   /// Per-shard native code bytes of the jit compilation (page-rounded W^X
   /// buffer, shared across shards via the trace cache); 0 unless jit.

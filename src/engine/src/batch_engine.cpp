@@ -60,8 +60,7 @@ struct EngineMetrics {
         r.counter("kvx_engine_job_failures_total",
                   "Jobs retired with a per-job error"),
         r.counter("kvx_engine_fallbacks_total",
-                  "Backend demotions (jit->host-simd->fused->trace->"
-                  "interpreter)"),
+                  "Backend demotions (jit->host-simd->interpreter)"),
         r.counter("kvx_engine_bytes_hashed_total", "Message bytes hashed"),
         r.counter("kvx_engine_dispatches_total",
                   "Job batches dispatched to shard accelerators"),

@@ -50,8 +50,8 @@ enum class FlightEventType : u16 {
   kJobFail = 3,          ///< a0 = job seq id, a1 = error hash
   kDispatch = 4,         ///< a0 = jobs in batch, a1 = shard index
   kBackendDemotion = 5,  ///< code = (from<<8)|to tier, a0 = injected, a1 = error hash
-  kTraceCompile = 6,     ///< code = artifact tier (0 trace/1 fused/2 host-simd/3 jit), a0 = ns
-  kTraceReject = 7,      ///< code = artifact tier, a1 = error hash
+  kTraceCompile = 6,     ///< code = build stage (0 compile/1 fuse/2 lower/3 emit), a0 = ns
+  kTraceReject = 7,      ///< code = build stage, a1 = error hash
   kTraceCacheHit = 8,    ///< cache lookup served without compiling
   kFaultInjected = 9,    ///< code = fault kind bit, a0 = site, a1 = draw index
   kQueuePark = 10,       ///< code = 0 consumer / 1 producer
@@ -63,9 +63,12 @@ enum class FlightEventType : u16 {
 
 /// Payload decoders shared by kvx-doctor and chrome_trace_json(); each
 /// returns a view of a string literal, so .data() is NUL-terminated.
-/// kTraceCompile/kTraceReject code: "trace" / "fused" / "host-simd" / "jit".
+/// kTraceCompile/kTraceReject code, the build stage, named by the artifact
+/// it produces: 0 trace compile "trace", 1 fusion pass "fused", 2 host-SIMD
+/// lowering "host-simd", 3 jit emission "jit".
 [[nodiscard]] std::string_view artifact_tier_name(u16 tier) noexcept;
-/// One byte of the kBackendDemotion code: sim::ExecBackend's backend_name().
+/// One byte of the kBackendDemotion code: sim::ExecBackend's backend_name()
+/// (0 interpreter, 3 host-simd, 4 jit; other values decode as "?").
 [[nodiscard]] std::string_view backend_tier_name(u16 tier) noexcept;
 /// kFaultInjected code (sim::FaultKind bit): "regfile_bit_flip", ...
 [[nodiscard]] std::string_view fault_kind_name(u16 bit) noexcept;

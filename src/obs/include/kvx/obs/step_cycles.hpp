@@ -10,7 +10,7 @@
 // Invariant (enforced by tests/test_observability.cpp): every cycle between
 // the permutation-start and permutation-end markers lands in exactly one
 // bucket, so theta + rho_pi + chi_iota + absorb + other == total, exactly,
-// on every backend (interpreter, compiled trace, fused trace).
+// on every backend (interpreter, host-simd, jit).
 #pragma once
 
 #include "kvx/common/types.hpp"

@@ -46,8 +46,6 @@ std::string_view artifact_tier_name(u16 tier) noexcept {
 std::string_view backend_tier_name(u16 tier) noexcept {
   switch (tier) {
     case 0: return "interpreter";
-    case 1: return "trace";
-    case 2: return "fused";
     case 3: return "host-simd";
     case 4: return "jit";
     default: return "?";

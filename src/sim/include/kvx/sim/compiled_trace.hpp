@@ -1,4 +1,5 @@
-// Compiled-trace execution backend.
+// Compiled trace: the recording and replay substrate of the host-SIMD and
+// jit backends.
 //
 // The generated Keccak programs have data-independent control flow: the
 // round loop runs a fixed trip count and every operand that is not Keccak
@@ -8,10 +9,12 @@
 // into a type-specialized kernel record — opcode-specialized kind, resolved
 // SEW and `lmul_cnt` row expansion (one record per hardware row), resolved
 // ρ/π rotation-table rows, raw byte offsets into the contiguous vector
-// register file, and resolved data-memory addresses. Replaying the flat
-// kernel array reproduces the run's architectural effects (register file,
-// data memory) exactly, with no instruction fetch, no per-element SEW
-// re-dispatch and no scalar bookkeeping on the host.
+// register file, and resolved data-memory addresses. Replaying a range of
+// the flat kernel array reproduces that part of the run's architectural
+// effects (register file, data memory) exactly, with no instruction fetch,
+// no per-element SEW re-dispatch and no scalar bookkeeping on the host. The
+// host-SIMD plan (host_simd.hpp) replays every record range it does not
+// lower to host vector code.
 //
 // Cycle accounting is NOT re-derived at replay time: the recording run is
 // charged by the interpreter under the processor's CycleModel, and the
@@ -39,7 +42,6 @@
 
 namespace kvx::sim {
 
-class FusedTrace;     // trace_fusion.hpp
 class HostSimdTrace;  // host_simd.hpp
 class JitTrace;       // jit/jit_trace.hpp
 
@@ -138,33 +140,31 @@ struct TraceCacheStats {
   u64 compiles = 0;     ///< traces compiled (cache misses)
   u64 failures = 0;     ///< compilations rejected (data-dependent program)
   u64 compile_ns = 0;   ///< host time spent compiling (incl. failures)
-  u64 fusions = 0;      ///< fused traces built (fused-cache misses)
+  u64 fusions = 0;      ///< fusion-matcher passes (one per plan built)
   u64 fuse_ns = 0;      ///< host time spent in the fusion pass
-  u64 lowerings = 0;    ///< host-SIMD plans built (host-simd-cache misses)
+  u64 lowerings = 0;    ///< host-SIMD plans built (cache misses)
   u64 lower_ns = 0;     ///< host time spent lowering to host SIMD
   u64 jit_compiles = 0; ///< native JIT emissions (jit-cache misses)
   u64 jit_ns = 0;       ///< host time spent emitting native code
   // Occupancy snapshot (also exported as the kvx_trace_cache_entries /
-  // kvx_trace_cache_bytes gauges): live artifacts across all tiers and the
-  // approximate bytes they hold — including the page-rounded W^X code
-  // buffers of cached JIT traces.
+  // kvx_trace_cache_bytes gauges): live plans and jit compilations and the
+  // approximate bytes they hold — recordings, fused traces and the
+  // page-rounded W^X code buffers of cached JIT traces included.
   u64 entries = 0;
   u64 resident_bytes = 0;
 };
 
-/// An immutable compiled trace. Thread-safe to share: execute() only
+/// An immutable compiled trace. Thread-safe to share: replay() only
 /// mutates the VectorUnit/Memory it is handed.
 class CompiledTrace {
  public:
-  /// Replay the trace against `vu`'s register file and `mem`. The caller is
-  /// responsible for staging input data exactly as it would for an
-  /// interpreter run (the trace reads the same addresses the program would).
-  void execute(VectorUnit& vu, Memory& mem, const CycleModel& cm) const;
-
-  /// Replay ONE record (the fused backend's per-record fallback path).
-  /// `file` must be vu.file_data().
-  void execute_op(const TraceOp& op, VectorUnit& vu, Memory& mem,
-                  const CycleModel& cm, u8* file) const;
+  /// Replay records [first, first + count) against `vu`'s register file and
+  /// `mem`. Replaying every record from a clean register file, with the
+  /// input data staged exactly as for an interpreter run, reproduces that
+  /// run (the trace reads the same addresses the program would). The caller
+  /// restores SN if a replayed record changed it.
+  void replay(usize first, usize count, VectorUnit& vu, Memory& mem,
+              const CycleModel& cm) const;
 
   // --- recorded timing (bit-identical to the interpreter run) ---
   [[nodiscard]] u64 total_cycles() const noexcept { return stats_.cycles; }
@@ -194,7 +194,7 @@ class CompiledTrace {
            wide_imms_.size() * sizeof(u64) + markers_.size() * sizeof(Marker);
   }
 
-  // --- raw record access (the fusion pass) ---
+  // --- raw record access (the fusion matcher) ---
   [[nodiscard]] const std::vector<TraceOp>& ops() const noexcept {
     return ops_;
   }
@@ -233,47 +233,30 @@ struct TraceCompileOptions {
     const assembler::Program& program, const ProcessorConfig& cfg,
     const TraceCompileOptions& opts = {});
 
-/// Process-wide trace cache keyed by (program digest, vector configuration,
-/// cycle model, backend). BatchHashEngine shards share one KeccakProgram, so
-/// the first shard to permute compiles the trace and the rest hit the
-/// cache. Fused compilations live in a separate keyed map: a shard
-/// requesting the plain trace backend can never observe a fused compilation
-/// and vice versa, even for the same program.
+/// Process-wide cache of host-SIMD plans and their jit compilations, keyed
+/// by (program digest, vector configuration, cycle model) — plus the
+/// resolved ISA for jit code. BatchHashEngine shards share one
+/// KeccakProgram, so the first shard to construct records, fuses and lowers
+/// the program and the rest hit the cache. A plan owns its fused trace and
+/// recording; the build stages are timed separately in TraceCacheStats.
 class TraceCache {
  public:
   static TraceCache& global();
 
-  /// Cached compile_trace(). Throws like compile_trace on failure (failures
-  /// are also cached negatively so each program is rejected only once).
-  [[nodiscard]] std::shared_ptr<const CompiledTrace> get_or_compile(
-      const assembler::Program& program, const ProcessorConfig& cfg,
-      const TraceCompileOptions& opts = {});
-
-  /// Cached fuse_trace(compile_trace()). The underlying compiled trace is
-  /// shared with get_or_compile (one recording per program), but the fused
-  /// artifact is keyed separately per the backend. Defined in
-  /// trace_fusion.cpp.
-  [[nodiscard]] std::shared_ptr<const FusedTrace> get_or_compile_fused(
-      const assembler::Program& program, const ProcessorConfig& cfg,
-      const TraceCompileOptions& opts = {});
-
-  /// Cached lower_host_simd(fuse_trace(compile_trace())). Shares the fused
-  /// artifact (and through it the recording) with the lower tiers; the
-  /// host-SIMD plan is keyed under its own salt, and lowering rejections
-  /// (nothing lowerable, e.g. the pure-RVV ablation) are cached negatively
-  /// like compile rejections. Throws kvx::SimError on rejection — callers
-  /// demote to the fused tier.
+  /// Cached lower_host_simd(fuse_trace(compile_trace())). Throws like
+  /// compile_trace when the recording is rejected (data-dependent program);
+  /// rejections are cached negatively so each program is rejected only
+  /// once. Callers demote to the interpreter.
   [[nodiscard]] std::shared_ptr<const HostSimdTrace> get_or_compile_host_simd(
       const assembler::Program& program, const ProcessorConfig& cfg,
       const TraceCompileOptions& opts = {});
 
-  /// Cached lower_jit(lower_host_simd(...)): native code emitted for the
-  /// ISA the host-SIMD dispatcher resolves for this SN right now (the
-  /// resolved ISA is part of the cache key, so an AVX-512 emission and an
-  /// AVX2 emission of one program coexist). Shares the host-SIMD plan (and
-  /// through it the whole lower chain). Emission failures are NOT cached
-  /// negatively — mmap/mprotect refusals are transient, unlike compile or
-  /// lowering rejections. Throws kvx::SimError on failure — callers demote
+  /// Cached lower_jit(get_or_compile_host_simd(...)): native code emitted
+  /// for the ISA the host-SIMD dispatcher resolves for this SN right now
+  /// (the resolved ISA is part of the cache key, so an AVX-512 emission and
+  /// an AVX2 emission of one program coexist). Emission failures are NOT
+  /// cached negatively — mmap/mprotect refusals are transient, unlike
+  /// compile rejections. Throws kvx::SimError on failure — callers demote
   /// to the host-SIMD tier.
   [[nodiscard]] std::shared_ptr<const JitTrace> get_or_compile_jit(
       const assembler::Program& program, const ProcessorConfig& cfg,
@@ -284,24 +267,15 @@ class TraceCache {
   void clear();
 
  private:
-  /// Shared positive/negative-cache lookup; mutex_ must be held.
-  [[nodiscard]] std::shared_ptr<const CompiledTrace> lookup_or_compile_locked(
+  /// Host-SIMD plan lookup, building the whole chain on a miss; mutex_ must
+  /// be held.
+  [[nodiscard]] std::shared_ptr<const HostSimdTrace> lookup_or_lower_locked(
       u64 key, const assembler::Program& program, const ProcessorConfig& cfg,
       const TraceCompileOptions& opts);
-  /// Fused-tier lookup over lookup_or_compile_locked; mutex_ must be held.
-  [[nodiscard]] std::shared_ptr<const FusedTrace> lookup_or_fuse_locked(
-      u64 base_key, const assembler::Program& program,
-      const ProcessorConfig& cfg, const TraceCompileOptions& opts);
-  /// Host-SIMD-tier lookup over lookup_or_fuse_locked; mutex_ must be held.
-  [[nodiscard]] std::shared_ptr<const HostSimdTrace> lookup_or_lower_locked(
-      u64 base_key, const assembler::Program& program,
-      const ProcessorConfig& cfg, const TraceCompileOptions& opts);
   /// Recompute the occupancy snapshot + gauges; mutex_ must be held.
   void refresh_occupancy_locked();
 
   mutable std::mutex mutex_;
-  std::unordered_map<u64, std::shared_ptr<const CompiledTrace>> entries_;
-  std::unordered_map<u64, std::shared_ptr<const FusedTrace>> fused_entries_;
   std::unordered_map<u64, std::shared_ptr<const HostSimdTrace>>
       host_simd_entries_;
   std::unordered_map<u64, std::shared_ptr<const JitTrace>> jit_entries_;

@@ -1,22 +1,19 @@
 // Functional execution backends of the simulated SIMD processor.
 //
 // The interpreter is the reference backend: it fetches, decodes and
-// dispatches every instruction through ScalarCore/VectorUnit. The
-// compiled-trace backend (compiled_trace.hpp) replays a pre-decoded kernel
-// trace recorded from the interpreter — same architectural effects, same
-// reported cycles, far less host work per simulated instruction. The
-// fused-trace backend (trace_fusion.hpp) runs an optimizer pass over the
-// compiled trace, pattern-matching recorded record sequences into
-// Keccak-step super-kernels executed with host SIMD; unmatched sequences
-// fall back to per-record replay, so it is correct on arbitrary programs.
-// The host-SIMD backend (host_simd.hpp) lowers runs of the matched
-// super-kernels straight to host vector intrinsics (AVX-512 / AVX2 /
-// portable vector extensions, runtime CPUID dispatch) with multiple Keccak
-// states packed per host register; anything it cannot lower executes through
-// the fused tier's kernels and replay path. The JIT backend (jit/) is tier
-// zero: it emits the whole host-SIMD plan as one contiguous native x86-64
-// function per (program, ISA) into a W^X code buffer — no replay dispatch
-// at all — and demotes to host-simd wherever native emission is impossible.
+// dispatches every instruction through ScalarCore/VectorUnit. The host-SIMD
+// backend (host_simd.hpp) runs a plan built from one recorded interpreter
+// run: the compiled trace (compiled_trace.hpp) pre-decodes every executed
+// instruction into a kernel record, the fusion matcher (trace_fusion.hpp)
+// finds the records that form θ/ρπ/χι Keccak steps, and the plan lowers
+// maximal runs of those steps to host vector intrinsics (AVX-512 / AVX2 /
+// portable vector extensions, runtime CPUID dispatch) with several Keccak
+// states packed per host register. Everything the plan does not lower
+// replays its recorded records, so the backend is correct on arbitrary
+// programs. The JIT backend (jit/) is tier zero: it emits the whole
+// host-SIMD plan as one contiguous native x86-64 function per (program,
+// ISA) into a W^X code buffer, and demotes to host-simd wherever native
+// emission is impossible.
 #pragma once
 
 #include <optional>
@@ -25,48 +22,43 @@
 namespace kvx::sim {
 
 enum class ExecBackend {
-  kInterpreter,    ///< reference fetch/decode/dispatch interpreter
-  kCompiledTrace,  ///< pre-decoded kernel trace (see compiled_trace.hpp)
-  kFusedTrace,     ///< super-kernel-fused trace (see trace_fusion.hpp)
-  kHostSimd,       ///< super-kernels lowered to host intrinsics (host_simd.hpp)
-  kJit,            ///< whole-trace native x86-64 emission (jit/jit_trace.hpp)
+  kInterpreter = 0,  ///< reference fetch/decode/dispatch interpreter
+  kHostSimd = 3,     ///< recorded trace planned onto host SIMD (host_simd.hpp)
+  kJit = 4,          ///< whole-plan native x86-64 emission (jit/jit_trace.hpp)
+  /// Deprecated alias of kHostSimd, kept only because the frozen benchmark
+  /// package (kvxbench/layers.cpp) still names it; the next change to that
+  /// package deletes it. Nothing else may use it.
+  kFusedTrace = kHostSimd,
 };
 
+// Flight-recorder demotion events and post-mortem dumps carry these values;
+// they must never be renumbered.
+static_assert(static_cast<int>(ExecBackend::kInterpreter) == 0);
+static_assert(static_cast<int>(ExecBackend::kHostSimd) == 3);
+static_assert(static_cast<int>(ExecBackend::kJit) == 4);
+
 /// Stable name, also accepted by parse_backend:
-/// "interpreter" / "trace" / "fused" / "host-simd" / "jit".
+/// "interpreter" / "host-simd" / "jit".
 [[nodiscard]] constexpr std::string_view backend_name(ExecBackend b) noexcept {
   switch (b) {
-    case ExecBackend::kCompiledTrace: return "trace";
-    case ExecBackend::kFusedTrace: return "fused";
     case ExecBackend::kHostSimd: return "host-simd";
     case ExecBackend::kJit: return "jit";
     default: return "interpreter";
   }
 }
 
-/// Next tier of the fail-soft fallback chain:
-/// jit → host-simd → fused → trace → interpreter.
+/// Next tier of the fail-soft fallback chain: jit → host-simd → interpreter.
 /// The interpreter is the floor — it demotes to itself.
 [[nodiscard]] constexpr ExecBackend demote_backend(ExecBackend b) noexcept {
-  switch (b) {
-    case ExecBackend::kJit: return ExecBackend::kHostSimd;
-    case ExecBackend::kHostSimd: return ExecBackend::kFusedTrace;
-    case ExecBackend::kFusedTrace: return ExecBackend::kCompiledTrace;
-    default: return ExecBackend::kInterpreter;
-  }
+  return b == ExecBackend::kJit ? ExecBackend::kHostSimd
+                                : ExecBackend::kInterpreter;
 }
 
-/// Parse a backend name ("interpreter", "trace"/"compiled-trace",
-/// "fused"/"fused-trace", "host-simd"/"hostsimd"/"simd", "jit"/"native").
+/// Parse a backend name ("interpreter", "host-simd"/"hostsimd"/"simd",
+/// "jit"/"native").
 [[nodiscard]] inline std::optional<ExecBackend> parse_backend(
     std::string_view name) noexcept {
   if (name == "interpreter") return ExecBackend::kInterpreter;
-  if (name == "trace" || name == "compiled-trace") {
-    return ExecBackend::kCompiledTrace;
-  }
-  if (name == "fused" || name == "fused-trace") {
-    return ExecBackend::kFusedTrace;
-  }
   if (name == "host-simd" || name == "hostsimd" || name == "simd") {
     return ExecBackend::kHostSimd;
   }
@@ -76,6 +68,6 @@ enum class ExecBackend {
 
 /// Names parse_backend accepts, for CLI error messages.
 inline constexpr std::string_view kBackendNamesHelp =
-    "interpreter, trace, fused, host-simd, jit";
+    "interpreter, host-simd, jit";
 
 }  // namespace kvx::sim

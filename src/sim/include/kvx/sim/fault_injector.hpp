@@ -11,7 +11,7 @@
 // Faults are *detected* corruption: a bit flip lands in the vector register
 // file or the staged-state memory region AND raises SimError, the way a
 // parity/ECC check would report it. The recovery contract is that every
-// dispatch restages its inputs, so a demoted retry (fused → trace →
+// dispatch restages its inputs, so a demoted retry (jit → host-simd →
 // interpreter, see VectorKeccak::permute) computes the correct digest and
 // an exhausted chain surfaces as a per-job error in the engine — never as a
 // silently wrong digest.
@@ -93,7 +93,7 @@ class FaultInjector {
   [[nodiscard]] std::optional<FaultKind> draw(FaultSite site);
 
   /// Throw the SimError for a compile-site fault (after draw() returned
-  /// kCompileFail). `what` names the rejected artifact ("trace"/"fused").
+  /// kCompileFail). `what` names the rejected tier ("host-simd"/"jit").
   [[noreturn]] void fail_compile(const std::string& what);
 
   /// Throw the synthetic-fault SimError for an execute-site kSimFault.

@@ -1,12 +1,12 @@
-// Host-SIMD execution backend: tier zero of the backend chain.
+// Host-SIMD execution backend: the one trace-backed executor.
 //
-// The fused backend (trace_fusion.hpp) already collapsed the compiled trace
-// into θ/ρπ/χι step-level super-kernels, but still executes them one regfile
-// row at a time through GCC vector extensions sized by the SIMULATED
-// register width. This backend takes the final step the paper's analysis
-// points at: it lowers maximal RUNS of those matched super-kernels directly
-// to the host's own vector ISA and keeps the whole 25-lane Keccak state
-// resident in host registers across entire round sequences.
+// The compiled trace (compiled_trace.hpp) records one interpreter run as
+// pre-decoded records, and the fusion matcher (trace_fusion.hpp) finds the
+// θ/ρπ/χι Keccak steps among them. This backend plans the result: it lowers
+// maximal RUNS of matched steps directly to the host's own vector ISA,
+// keeping the whole 25-lane Keccak state resident in host registers across
+// entire round sequences, and replays every other record range (state
+// loads and stores, short runs, unmatched records) from the recording.
 //
 // Representation change. The simulator regfile is plane-major: row y holds
 // lane (x, y) of state s at element 5s + x, so one SIMULATED register mixes
@@ -37,14 +37,16 @@
 // (absorb/squeeze edges of the lowered run): the plan marks, per segment,
 // the LAST super-kernel that writes each regfile location and materializes
 // exactly those values back, so the register file after execute() is
-// bit-identical to the fused backend's — inter-segment replay ranges (the
-// state load and stores) read exactly what they would have under fused
-// replay. A kernel whose fused op has live-out scratch (the final round's
-// θ and χ, see trace_fusion.hpp) writes those rows from the packed state
-// just before it runs, through the same write_scratch_rows the fused tier
-// uses, so all 24 rounds of a paper plan stay in one segment. Ops the plan
-// cannot lower (short runs, replay ranges) execute through the fused
-// tier's own kernels, so the backend is correct on arbitrary programs.
+// bit-identical to a full replay's — inter-segment replay ranges (the state
+// load and stores) read exactly what they would have under the
+// interpreter. A kernel whose fused op has live-out scratch (the final
+// round's θ and χ, see trace_fusion.hpp) writes those rows from the packed
+// state just before it runs, through write_scratch_rows, so all 24 rounds
+// of a paper plan stay in one segment. Records the plan does not lower
+// replay unchanged — an unlowered step rewrites its scratch rows exactly as
+// the interpreter would — so the backend is correct on arbitrary programs;
+// a trace with nothing to lower (the pure-RVV ablation) is an all-replay
+// plan.
 //
 // The host ISA is picked once per process by CPUID at dispatch time
 // (AVX-512F → AVX2 → portable → scalar), overridable with the
@@ -53,7 +55,7 @@
 // ISA-independent — one cached lowering serves every dispatch width.
 //
 // Cycle accounting passes through to the recorded interpreter totals,
-// bit-identical by construction, exactly like the trace and fused tiers.
+// bit-identical by construction.
 #pragma once
 
 #include <optional>
@@ -156,12 +158,13 @@ struct HostSimdKernel {
 };
 
 /// One step of the plan: either a maximal lowered segment (kernel_count > 0,
-/// packed from `pack_loc` at entry) or a single fused op executed through
-/// the fused tier (kernel_count == 0, `fused_index` into fused_ops()). A
-/// split segment packs and unpacks through the lo/hi plane pairs
+/// packed from `pack_loc` at entry) or a replay of base-trace records
+/// [first, first + count) (kernel_count == 0; adjacent ranges are merged).
+/// A split segment packs and unpacks through the lo/hi plane pairs
 /// (`pack_loc`, `pack_loc2`) and (`unpack_loc`, `unpack_loc2`).
 struct HostSimdItem {
-  u32 fused_index = 0;
+  u32 first = 0;  ///< replay items: first base-trace record
+  u32 count = 0;  ///< replay items: base-trace records replayed
   u32 kernel_first = 0;
   u32 kernel_count = 0;
   u32 pack_loc = 0;
@@ -169,46 +172,45 @@ struct HostSimdItem {
   bool split = false;  ///< 32-bit split-half segment
 };
 
-/// An immutable host-SIMD lowering of a fused trace. Thread-safe to share:
-/// execute() only mutates the VectorUnit/Memory it is handed (the segment
-/// runners use stack-resident packed state only).
+/// An immutable host-SIMD plan over a fused trace (which owns the base
+/// recording). Thread-safe to share: execute() only mutates the
+/// VectorUnit/Memory it is handed (the segment runners use stack-resident
+/// packed state only).
 class HostSimdTrace {
  public:
-  /// Same contract as FusedTrace::execute — identical register file, data
-  /// memory and (pass-through) cycle accounting.
+  /// Run the plan against `vu`'s register file and `mem`, staged exactly as
+  /// for an interpreter run. Register file and data memory end up
+  /// bit-identical to the interpreter's; timing is the recorded one.
   void execute(VectorUnit& vu, Memory& mem, const CycleModel& cm) const;
 
-  // --- recorded timing (passes through to the fused/base trace) ---
+  // --- recorded timing (passes through to the base trace) ---
   [[nodiscard]] u64 total_cycles() const noexcept {
-    return fused_->total_cycles();
+    return base().total_cycles();
   }
   [[nodiscard]] u64 instructions() const noexcept {
-    return fused_->instructions();
+    return base().instructions();
   }
   [[nodiscard]] const RunStats& run_stats() const noexcept {
-    return fused_->run_stats();
+    return base().run_stats();
   }
   [[nodiscard]] const std::vector<Marker>& markers() const noexcept {
-    return fused_->markers();
+    return base().markers();
   }
   [[nodiscard]] u64 cycles_between(u32 from, u32 to) const {
-    return fused_->cycles_between(from, to);
+    return base().cycles_between(from, to);
   }
   [[nodiscard]] const std::array<u32, 32>& final_scalar_regs() const noexcept {
-    return fused_->final_scalar_regs();
+    return base().final_scalar_regs();
   }
   [[nodiscard]] const FusedTrace& fused() const noexcept { return *fused_; }
-  /// Shared ownership of the fused trace — the demotion target
-  /// (host-simd → fused) without a second trace-cache round trip.
-  [[nodiscard]] const std::shared_ptr<const FusedTrace>& shared_fused()
-      const noexcept {
-    return fused_;
+  [[nodiscard]] const CompiledTrace& base() const noexcept {
+    return fused_->base();
   }
 
   // --- lowering statistics ---
   /// Fraction of base-trace records covered by LOWERED kernels, in [0, 1].
   [[nodiscard]] double lowered_coverage() const noexcept {
-    const usize total = fused_->base().op_count();
+    const usize total = base().op_count();
     return total == 0 ? 0.0
                       : static_cast<double>(lowered_records_) /
                             static_cast<double>(total);
@@ -223,14 +225,15 @@ class HostSimdTrace {
   [[nodiscard]] const std::vector<HostSimdKernel>& kernels() const noexcept {
     return kernels_;
   }
-  /// Keccak states per simulated register row (the engine's SN).
+  /// Keccak states per simulated register row (the engine's SN); 0 for an
+  /// all-replay plan.
   [[nodiscard]] u32 sn() const noexcept { return sn_; }
   /// Add one dispatch's transposes, at `groups` pack-width groups per
   /// segment, to kvx_hostsimd_{packs,unpacks}_total. Both native tiers
   /// (this one and the jit) count through here.
   void count_transposes(u32 groups) const;
-  /// Approximate heap bytes of this plan alone (the shared fused trace is
-  /// accounted by its own cache entry).
+  /// Approximate heap bytes of this plan alone (the fused trace and base
+  /// recording are accounted separately).
   [[nodiscard]] usize memory_bytes() const noexcept {
     return items_.size() * sizeof(HostSimdItem) +
            kernels_.size() * sizeof(HostSimdKernel);
@@ -249,9 +252,9 @@ class HostSimdTrace {
   u32 sn_ = 0;
 };
 
-/// Build the host-SIMD plan for `fused`. Throws kvx::SimError when nothing
-/// can be lowered (no matched θ/ρπ/χ super-kernels, e.g. the pure-RVV
-/// ablation) — the caller demotes to the fused tier per the backend chain.
+/// Build the host-SIMD plan for `fused`. A trace with nothing to lower (no
+/// matched θ/ρπ/χ super-kernel runs, e.g. the pure-RVV ablation) becomes an
+/// all-replay plan.
 [[nodiscard]] std::shared_ptr<const HostSimdTrace> lower_host_simd(
     std::shared_ptr<const FusedTrace> fused);
 

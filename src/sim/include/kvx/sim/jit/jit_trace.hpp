@@ -1,6 +1,6 @@
 // Trace-to-native JIT backend: tier zero of the backend chain.
 //
-// The host-SIMD tier (host_simd.hpp) already plans the fused trace into
+// The host-SIMD tier (host_simd.hpp) already plans the recorded trace into
 // straight-line θ/ρπ/χι segments over lane-major packed state, but still
 // walks the plan with indirect dispatch on every item/kernel. This backend
 // removes that last layer: lower_jit() emits the WHOLE plan as one
@@ -26,18 +26,18 @@
 //
 // A paper plan is one segment for all 24 rounds: the final round's live-out
 // θ/χ scratch goes through the scratch shim, which runs the same
-// write_scratch_rows as the host-SIMD and fused tiers. Plan items the
-// host-SIMD tier could not lower (the state load/store replay ranges, short
-// runs) call back into the fused tier through an extern "C" shim that traps
-// C++ exceptions into the ctx and returns nonzero, which the emitted code
-// turns into a branch to the epilogue — execute() then rethrows, and the
-// caller demotes per the chain (jit → host-simd → fused → trace →
+// write_scratch_rows as the host-SIMD tier. The plan's replay ranges (the
+// state load/store, short runs) call CompiledTrace::replay through a shim
+// that traps C++ exceptions into the ctx and returns nonzero, which the
+// emitted code turns into a branch to the epilogue — execute() then
+// rethrows, and the caller demotes per the chain (jit → host-simd →
 // interpreter).
 //
 // The emission ISA is resolved by the same dispatcher the host-SIMD tier
 // uses (host_simd_dispatch_isa: CPUID, KVX_HOST_SIMD_ISA, test pins,
-// SN-narrowing); scalar/portable resolutions — and non-x86-64 hosts, and
-// mmap/mprotect refusals — throw SimError so construction demotes cleanly.
+// SN-narrowing); scalar/portable resolutions — and non-x86-64 hosts,
+// all-replay plans with nothing to emit, and mmap/mprotect refusals — throw
+// SimError so construction demotes cleanly.
 // Cycle accounting passes through to the recorded interpreter totals,
 // bit-identical, exactly like every other trace-backed tier.
 #pragma once
@@ -62,7 +62,7 @@ class JitTrace {
   /// (e.g. a test pin changed) — the caller demotes to host-simd.
   void execute(VectorUnit& vu, Memory& mem, const CycleModel& cm) const;
 
-  // --- recorded timing (passes through to the fused/base trace) ---
+  // --- recorded timing (passes through to the base trace) ---
   [[nodiscard]] u64 total_cycles() const noexcept {
     return hs_->total_cycles();
   }
@@ -125,8 +125,9 @@ class JitTrace {
 
 /// Emit native code for `hs` at the ISA host_simd_dispatch_isa(hs->sn())
 /// resolves to right now. Throws kvx::SimError when emission is impossible
-/// (non-x86-64 build, scalar/portable ISA resolution, mmap/mprotect
-/// failure) — the caller demotes to the host-SIMD tier.
+/// (non-x86-64 build, a plan without lowered segments, scalar/portable ISA
+/// resolution, mmap/mprotect failure) — the caller demotes to the host-SIMD
+/// tier.
 [[nodiscard]] std::shared_ptr<const JitTrace> lower_jit(
     std::shared_ptr<const HostSimdTrace> hs);
 

@@ -1,11 +1,10 @@
-// Fused-trace execution backend: an optimizer pass over a compiled trace.
+// Fusion matcher: finds the Keccak steps in a compiled trace.
 //
-// The compiled trace (compiled_trace.hpp) already reduced the program to a
-// flat array of pre-decoded records, but still replays them one record at a
-// time — every θ parity round-trips through the register file, ρ and π
-// scatter row by row, and χ takes thirteen records of slides and ALU ops.
-// The fusion pass pattern-matches the recurring record sequences the Keccak
-// program builders emit and collapses each into ONE step-level super-kernel:
+// The compiled trace (compiled_trace.hpp) reduced the program to a flat
+// array of pre-decoded records. The fusion pass pattern-matches the
+// recurring record sequences the Keccak program builders emit and describes
+// each as ONE step-level super-kernel (FusedOp), which the host-SIMD plan
+// (host_simd.hpp) lowers to host vector code:
 //
 //   pattern (records)                        super-kernel
 //   ------------------------------------     -----------------------------
@@ -21,25 +20,20 @@
 //   ι  merged into the preceding χ kernel        (+1 record)
 //   χ(lo) + χ(hi) + ι(lo) + ι(hi) (32-bit)       kChi32    (28 records)
 //
-// Super-kernels operate on whole regfile rows (5·SN elements) with host
-// SIMD (GCC/Clang vector extensions + __builtin_shufflevector, pure-scalar
-// fallback selected at compile time), and keep θ parity / χ slide scratch
-// in host registers instead of round-tripping through the register file.
-//
-// The matcher records a scratch RECIPE for each elided row: which function
-// of the group's input lanes the row finally holds (θ: D, C[x−1],
+// A lowered super-kernel keeps θ parity / χ slide scratch in host
+// registers instead of round-tripping through the register file. The
+// matcher therefore records a scratch RECIPE for each elided row: which
+// function of the group's input lanes the row finally holds (θ: D, C[x−1],
 // rotl(C[x+1], 1), ...; χ: B[x+2] and ~B[x+1] & B[x+2] per plane). A
 // backward byte-granularity liveness pass over the recorded reads/writes
 // (all bytes live at end-of-trace — callers compare the final register
-// file) finds the rows that are live-out; a group writes exactly those rows
-// back from its recipe (write_scratch_rows), so the final round stays fused
-// like every other. Only a group with a live-out row that has no recipe
-// (the ρ scratch of the in-place ρπ forms) is demoted to per-record replay.
-// Unrecognized record sequences replay unchanged, so the backend is correct
-// on arbitrary programs, not just the paper's.
-//
-// Cycle accounting is untouched: all timing passes through to the recorded
-// interpreter totals, bit-identical by construction.
+// file) finds the rows that are live-out; a lowered kernel writes exactly
+// those rows back from its recipe (write_scratch_rows), so the final round
+// lowers like every other. Only a group with a live-out row that has no
+// recipe (the ρ scratch of the in-place ρπ forms) is demoted to
+// per-record replay. Unrecognized record sequences become replay ranges, so
+// the output covers every record of arbitrary programs, not just the
+// paper's.
 #pragma once
 
 #include "kvx/sim/compiled_trace.hpp"
@@ -91,11 +85,11 @@ struct ScratchRow {
 /// their packed input lanes: buf[(5y + x)·pack + p] = lane (x, y) of state
 /// s0 + p, the layout of host_simd_pack / host_simd_pack_split (a split
 /// lane joins hi << 32 | lo), with `pack` at most 16 (the widest SN the
-/// super-kernels fuse). The one writer every trace-backed tier uses.
+/// matcher fuses). The one writer the host-simd and jit tiers share.
 void write_scratch_rows(u8* file, u32 sn, u32 s0, u32 pack, const u64* buf,
                         const ScratchRow* rows, u32 count) noexcept;
 
-/// One fused super-kernel (or replay range). Offsets are regfile byte
+/// One matched super-kernel (or replay range). Offsets are regfile byte
 /// offsets like TraceOp's; `src2`/`dst2` are the high-half planes of the
 /// 32-bit kernels.
 struct FusedOp {
@@ -109,53 +103,19 @@ struct FusedOp {
   u32 src2 = 0;
   u32 dst = 0;
   u32 dst2 = 0;
-  /// Live-out scratch rows this op writes before its kernel runs:
+  /// Live-out scratch rows a lowered op writes before its kernel runs:
   /// [scratch_first, scratch_first + scratch_count) of scratch_rows().
   u32 scratch_first = 0;
   u32 scratch_count = 0;
   u64 iota_rc = 0;
 };
 
-/// An immutable fused trace. Shares the base compiled trace (one recording
-/// serves both backends); thread-safe like CompiledTrace.
+/// An immutable fusion-matcher result over a shared compiled trace: the
+/// fused ops cover every base-trace record in order. Only the host-SIMD
+/// plan reads it; thread-safe to share.
 class FusedTrace {
  public:
-  /// Replay with super-kernels; same contract as CompiledTrace::execute.
-  void execute(VectorUnit& vu, Memory& mem, const CycleModel& cm) const;
-
-  /// Execute ONE fused op (super-kernel or replay range) — the host-SIMD
-  /// backend's fallback path for ops it does not lower. `f` must come from
-  /// this trace's fused_ops(). Unlike execute(), the caller is responsible
-  /// for restoring SN if a replayed record changed it.
-  void execute_op(const FusedOp& f, VectorUnit& vu, Memory& mem,
-                  const CycleModel& cm) const;
-
-  // --- recorded timing (passes through to the base trace) ---
-  [[nodiscard]] u64 total_cycles() const noexcept {
-    return base_->total_cycles();
-  }
-  [[nodiscard]] u64 instructions() const noexcept {
-    return base_->instructions();
-  }
-  [[nodiscard]] const RunStats& run_stats() const noexcept {
-    return base_->run_stats();
-  }
-  [[nodiscard]] const std::vector<Marker>& markers() const noexcept {
-    return base_->markers();
-  }
-  [[nodiscard]] u64 cycles_between(u32 from, u32 to) const {
-    return base_->cycles_between(from, to);
-  }
-  [[nodiscard]] const std::array<u32, 32>& final_scalar_regs() const noexcept {
-    return base_->final_scalar_regs();
-  }
   [[nodiscard]] const CompiledTrace& base() const noexcept { return *base_; }
-  /// Shared ownership of the base trace — the fused backend's demotion
-  /// target (fused → trace) without a second trace-cache round trip.
-  [[nodiscard]] const std::shared_ptr<const CompiledTrace>& shared_base()
-      const noexcept {
-    return base_;
-  }
 
   // --- fusion statistics ---
   /// Fraction of base-trace records covered by super-kernels, in [0, 1].
@@ -178,8 +138,8 @@ class FusedTrace {
   [[nodiscard]] const std::vector<ScratchRow>& scratch_rows() const noexcept {
     return scratch_;
   }
-  /// Approximate heap bytes of this artifact alone (the shared base trace
-  /// is accounted by its own cache entry).
+  /// Approximate heap bytes of this artifact alone (the base trace is
+  /// accounted separately).
   [[nodiscard]] usize memory_bytes() const noexcept {
     return fused_.size() * sizeof(FusedOp) +
            scratch_.size() * sizeof(ScratchRow);
@@ -200,9 +160,5 @@ class FusedTrace {
 /// recognizable patterns becomes one big replay range.
 [[nodiscard]] std::shared_ptr<const FusedTrace> fuse_trace(
     std::shared_ptr<const CompiledTrace> base);
-
-/// True when the super-kernels were compiled with the host-SIMD lowering
-/// (GCC/Clang vector extensions), false for the pure-scalar fallback.
-[[nodiscard]] bool fusion_host_simd() noexcept;
 
 }  // namespace kvx::sim

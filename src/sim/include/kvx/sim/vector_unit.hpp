@@ -67,9 +67,9 @@ class VectorUnit {
   void set_register(unsigned vreg, std::span<const u8> bytes);
   void clear_registers() noexcept;
 
-  // Raw register-file access for the compiled-trace backend: registers are
-  // stored contiguously (32 × reg_bytes()), so a register group is one flat
-  // byte span at `vreg * reg_bytes()`.
+  // Raw register-file access for trace replay and the host-SIMD/jit tiers:
+  // registers are stored contiguously (32 × reg_bytes()), so a register
+  // group is one flat byte span at `vreg * reg_bytes()`.
   [[nodiscard]] u8* file_data() noexcept { return file_.data(); }
   [[nodiscard]] const u8* file_data() const noexcept { return file_.data(); }
   [[nodiscard]] usize reg_bytes() const noexcept { return reg_bytes_; }

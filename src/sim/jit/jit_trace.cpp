@@ -16,10 +16,10 @@ namespace {
 //
 // The emitted function receives one pointer (rdi): this context. It keeps
 // the ctx pinned in rbx and calls back into C++ for the packed transposes,
-// for the live-out scratch writes and for plan items the host-SIMD tier
-// could not lower. The SysV ABI makes every vector register caller-saved,
-// so the emitter spills the packed state around every shim call (AVX-512)
-// or keeps it memory-resident (AVX2).
+// for the live-out scratch writes and for the plan's replay ranges. The
+// SysV ABI makes every vector register caller-saved, so the emitter spills
+// the packed state around every shim call (AVX-512) or keeps it
+// memory-resident (AVX2).
 // ---------------------------------------------------------------------------
 
 struct JitCtx {
@@ -65,15 +65,14 @@ void jit_scratch_shim(JitCtx* ctx, u64* buf, u32 kernel, u32 s0) noexcept {
                      k.scratch_count);
 }
 
-/// Execute one unlowered plan item through the fused tier. Returns nonzero
-/// on a C++ exception (captured into ctx->error); the emitted code branches
-/// to the epilogue and execute() rethrows — native frames never unwind.
-int jit_fallback_shim(JitCtx* ctx, u32 item_index) noexcept {
+/// Replay one unlowered plan item's records. Returns nonzero on a C++
+/// exception (captured into ctx->error); the emitted code branches to the
+/// epilogue and execute() rethrows — native frames never unwind.
+int jit_replay_shim(JitCtx* ctx, u32 item_index) noexcept {
   try {
     const HostSimdItem& item = ctx->hs->items()[item_index];
-    const FusedTrace& fused = ctx->hs->fused();
-    fused.execute_op(fused.fused_ops()[item.fused_index], *ctx->vu, *ctx->mem,
-                     *ctx->cm);
+    ctx->hs->base().replay(item.first, item.count, *ctx->vu, *ctx->mem,
+                           *ctx->cm);
     return 0;
   } catch (...) {
     *ctx->error = std::current_exception();
@@ -86,8 +85,8 @@ int jit_fallback_shim(JitCtx* ctx, u32 item_index) noexcept {
 // ---------------------------------------------------------------------------
 
 /// ρ/π as a register permutation: new[kPi[s]] = rol(old[s], kAmt[s]), with
-/// s = 5r + x' indexing V[5y + x] = lane (x, y). Matches the fused
-/// kRhoPi64 mapping (host_simd_kernels.inc), which lower_host_simd already
+/// s = 5r + x' indexing V[5y + x] = lane (x, y). Matches the kRhoPi64
+/// step's mapping (host_simd_kernels.inc), which lower_host_simd already
 /// cross-checked against keccak::rho_offsets().
 struct RhoPiMap {
   unsigned dst[25];
@@ -137,12 +136,12 @@ void emit_shim_call(JitAssembler& a, void (*fn)(JitCtx*, u64*, Loc, u32),
   a.call_rax();
 }
 
-void emit_fallback_call(JitAssembler& a, u32 item_index) {
+void emit_replay_call(JitAssembler& a, u32 item_index) {
   a.vzeroupper();
   a.mov_rr64(kRdi, kRbx);
   a.mov_ri32(kRsi, item_index);
   a.mov_ri64(kRax, static_cast<u64>(reinterpret_cast<std::uintptr_t>(
-                       &jit_fallback_shim)));
+                       &jit_replay_shim)));
   a.call_rax();
   a.test_eax_eax();
   a.jnz_placeholder();
@@ -280,7 +279,7 @@ void emit_function(JitAssembler& a, const HostSimdTrace& hs, HostSimdIsa isa,
   for (u32 it = 0; it < items.size(); ++it) {
     const HostSimdItem& item = items[it];
     if (item.kernel_count == 0) {
-      emit_fallback_call(a, it);
+      emit_replay_call(a, it);
       continue;
     }
     // Split segments differ only in which transposes they call.
@@ -342,7 +341,7 @@ void emit_function(JitAssembler& a, const HostSimdTrace& hs, HostSimdIsa isa,
     }
   }
 
-  // Shared epilogue — also the landing pad of every fallback error branch.
+  // Shared epilogue — also the landing pad of every replay error branch.
   a.bind_jnz_targets(a.pos());
   a.vzeroupper();
   a.lea_rbp_disp8(kRsp, -16);
@@ -392,6 +391,9 @@ std::shared_ptr<const JitTrace> lower_jit(
   if (!jit_supported()) {
     throw SimError("jit: native emission requires an x86-64 host with mmap");
   }
+  if (hs->segment_count() == 0) {
+    throw SimError("jit: the host-simd plan lowers nothing to emit");
+  }
   const HostSimdIsa isa = host_simd_dispatch_isa(hs->sn());
   if (isa != HostSimdIsa::kAvx2 && isa != HostSimdIsa::kAvx512) {
     throw SimError("jit: dispatch ISA '" +
@@ -421,7 +423,7 @@ std::shared_ptr<const JitTrace> lower_jit(
 
 void JitTrace::execute(VectorUnit& vu, Memory& mem,
                        const CycleModel& cm) const {
-  KVX_CHECK_MSG(vu.reg_bytes() == hs_->fused().base().reg_bytes(),
+  KVX_CHECK_MSG(vu.reg_bytes() == hs_->base().reg_bytes(),
                 "trace compiled for a different vector configuration");
   // An ISA pin or environment change since emission invalidates the baked
   // code paths; throwing demotes this dispatch to host-simd, which
@@ -431,7 +433,7 @@ void JitTrace::execute(VectorUnit& vu, Memory& mem,
   }
   JitCtx ctx;
   ctx.file = vu.file_data();
-  ctx.rb = static_cast<u32>(hs_->fused().base().reg_bytes());
+  ctx.rb = static_cast<u32>(hs_->base().reg_bytes());
   ctx.sn = hs_->sn();
   ctx.pack = pack_;
   ctx.hs = hs_.get();

@@ -202,189 +202,187 @@ bool specializable_bin(Opcode op, TraceBinOp& bin, VOperands& flavour) {
 
 }  // namespace
 
-void CompiledTrace::execute_op(const TraceOp& op, VectorUnit& vu, Memory& mem,
-                               const CycleModel& cm, u8* file) const {
-  const usize rb = reg_bytes_;
-  switch (op.kind) {
-    case TraceOpKind::kBinVV:
-      if (op.sew == 64) run_bin_vv<u64>(file, op);
-      else run_bin_vv<u32>(file, op);
-      break;
-    case TraceOpKind::kBinVS:
-      if (op.sew == 64) run_bin_vs<u64>(file, op, wide_imms_[op.aux]);
-      else run_bin_vs<u32>(file, op, wide_imms_[op.aux]);
-      break;
-    case TraceOpKind::kSplat: {
-      u8* d = file + op.d;
-      if (op.sew == 64) {
-        const u64 v = wide_imms_[op.aux];
-        for (u32 i = 0; i < op.n; ++i) st64(d + 8 * i, v);
-      } else {
-        const u32 v = static_cast<u32>(wide_imms_[op.aux]);
-        for (u32 i = 0; i < op.n; ++i) st32(d + 4 * i, v);
-      }
-      break;
-    }
-    case TraceOpKind::kCopyReg: {
-      u8* d = file + op.d;
-      const u8* a = file + op.a;
-      if (d <= a || a + op.n <= d) {
-        std::memmove(d, a, op.n);
-      } else {
-        // Forward-overlapping: copy element-wise ascending like vmv.v.v.
-        const u32 esz = op.sew / 8u;
-        for (u32 off = 0; off < op.n; off += esz) {
-          std::memmove(d + off, a + off, esz);
-        }
-      }
-      break;
-    }
-    case TraceOpKind::kLoadUnit:
-      mem.read_block(op.aux, std::span<u8>(file + op.d, op.n));
-      break;
-    case TraceOpKind::kStoreUnit:
-      mem.write_block(op.aux, std::span<const u8>(file + op.d, op.n));
-      break;
-    case TraceOpKind::kLoadGather:
-      for (u32 i = 0; i < op.n; ++i) {
-        const TraceMemElem& e = gather_elems_[op.aux + i];
-        const u64 v = mem.read_element(e.addr, op.sew);
-        std::memcpy(file + e.reg_off, &v, op.sew / 8u);
-      }
-      break;
-    case TraceOpKind::kStoreScatter:
-      for (u32 i = 0; i < op.n; ++i) {
-        const TraceMemElem& e = gather_elems_[op.aux + i];
-        u64 v = 0;
-        std::memcpy(&v, file + e.reg_off, op.sew / 8u);
-        mem.write_element(e.addr, op.sew, v);
-      }
-      break;
-    case TraceOpKind::kLoadStrided:
-      mem.read_strided(op.aux, static_cast<u32>(op.imm), op.sew / 8u,
-                       std::span<u8>(file + op.d, op.n * (op.sew / 8u)));
-      break;
-    case TraceOpKind::kStoreStrided:
-      mem.write_strided(op.aux, static_cast<u32>(op.imm), op.sew / 8u,
-                        std::span<const u8>(file + op.d, op.n * (op.sew / 8u)));
-      break;
-    case TraceOpKind::kScalarStore:
-      mem.write_element(op.aux, op.sew,
-                        static_cast<u64>(static_cast<u32>(op.imm)));
-      break;
-    case TraceOpKind::kSlideMod5:
-      if (op.sew == 64) run_slide_mod5<u64>(file, op);
-      else run_slide_mod5<u32>(file, op);
-      break;
-    case TraceOpKind::kRotup64: {
-      u8* d = file + op.d;
-      const u8* a = file + op.a;
-      const unsigned amt = static_cast<unsigned>(op.imm);
-      for (u32 e = 0; e < 5u * op.sn; ++e) {
-        st64(d + 8 * e, rotl64(ld64(a + 8 * e), amt));
-      }
-      break;
-    }
-    case TraceOpKind::kRho64Row: {
-      u8* d = file + op.d;
-      const u8* a = file + op.a;
-      const auto& offs = keccak::rho_offsets()[op.table_row];
-      for (u32 i = 0; i < op.sn; ++i) {
-        for (unsigned j = 0; j < 5; ++j) {
-          const u32 e = 5 * i + j;
-          st64(d + 8 * e, rotl64(ld64(a + 8 * e), offs[j]));
-        }
-      }
-      break;
-    }
-    case TraceOpKind::kRho32Row: {
-      u8* d = file + op.d;
-      const u8* hi = file + op.a;
-      const u8* lo = file + op.b;
-      const auto& offs = keccak::rho_offsets()[op.table_row];
-      for (u32 i = 0; i < op.sn; ++i) {
-        for (unsigned j = 0; j < 5; ++j) {
-          const u32 e = 5 * i + j;
-          const u64 rot =
-              rotl64(concat32(ld32(hi + 4 * e), ld32(lo + 4 * e)), offs[j]);
-          st32(d + 4 * e, op.flag ? hi32(rot) : lo32(rot));
-        }
-      }
-      break;
-    }
-    case TraceOpKind::kRot32Pair: {
-      u8* d = file + op.d;
-      const u8* hi = file + op.a;
-      const u8* lo = file + op.b;
-      for (u32 e = 0; e < 5u * op.sn; ++e) {
-        const u64 rot =
-            rotl64(concat32(ld32(hi + 4 * e), ld32(lo + 4 * e)), 1);
-        st32(d + 4 * e, op.flag ? hi32(rot) : lo32(rot));
-      }
-      break;
-    }
-    case TraceOpKind::kPiRow:
-      if (op.sew == 64) run_pi_row<u64>(file, op, rb);
-      else run_pi_row<u32>(file, op, rb);
-      break;
-    case TraceOpKind::kRhoPiRow: {
-      const u8* a = file + op.a;
-      const unsigned row = op.table_row;
-      const auto& offs = keccak::rho_offsets()[row];
-      for (u32 i = 0; i < op.sn; ++i) {
-        std::array<u64, 5> src;
-        for (unsigned xp = 0; xp < 5; ++xp) {
-          src[xp] = rotl64(ld64(a + 8 * (5 * i + xp)), offs[xp]);
-        }
-        for (unsigned xp = 0; xp < 5; ++xp) {
-          const unsigned y = (2 * (xp + 5 - row)) % 5;
-          st64(file + op.d + y * rb + 8 * (5 * i + row), src[xp]);
-        }
-      }
-      break;
-    }
-    case TraceOpKind::kIota:
-      if (op.sew == 64) run_iota<u64>(file, op, wide_imms_[op.aux]);
-      else run_iota<u32>(file, op, wide_imms_[op.aux]);
-      break;
-    case TraceOpKind::kThetaCRow: {
-      u8* d = file + op.d;
-      const u8* a = file + op.a;
-      for (u32 i = 0; i < op.sn; ++i) {
-        std::array<u64, 5> b;
-        for (unsigned j = 0; j < 5; ++j) b[j] = ld64(a + 8 * (5 * i + j));
-        for (unsigned j = 0; j < 5; ++j) {
-          st64(d + 8 * (5 * i + j),
-               b[(j + 4) % 5] ^ rotl64(b[(j + 1) % 5], 1));
-        }
-      }
-      break;
-    }
-    case TraceOpKind::kChiRow:
-      if (op.sew == 64) run_chi_row<u64>(file, op);
-      else run_chi_row<u32>(file, op);
-      break;
-    case TraceOpKind::kGeneric: {
-      const TraceGenericOp& g = generic_ops_[op.aux];
-      if (g.sn != vu.config().effective_sn()) vu.set_sn(g.sn);
-      vu.set_exec_state(g.vtype, g.vl);
-      ScalarRegs x;
-      x.write(g.inst.rs1, g.rs1_value);
-      x.write(g.inst.rs2, g.rs2_value);
-      vu.execute(g.inst, x, mem, cm);  // recorded cycles stay authoritative
-      break;
-    }
-  }
-}
-
-void CompiledTrace::execute(VectorUnit& vu, Memory& mem,
-                            const CycleModel& cm) const {
+void CompiledTrace::replay(usize first, usize count, VectorUnit& vu,
+                           Memory& mem, const CycleModel& cm) const {
   KVX_CHECK_MSG(vu.reg_bytes() == reg_bytes_,
                 "trace compiled for a different vector configuration");
+  KVX_CHECK_MSG(first <= ops_.size() && count <= ops_.size() - first,
+                "replay range outside the trace");
   u8* file = vu.file_data();
-  const unsigned entry_sn = vu.config().effective_sn();
-  for (const TraceOp& op : ops_) execute_op(op, vu, mem, cm, file);
-  if (vu.config().effective_sn() != entry_sn) vu.set_sn(entry_sn);
+  const usize rb = reg_bytes_;
+  for (const TraceOp& op : std::span(ops_).subspan(first, count)) {
+    switch (op.kind) {
+      case TraceOpKind::kBinVV:
+        if (op.sew == 64) run_bin_vv<u64>(file, op);
+        else run_bin_vv<u32>(file, op);
+        break;
+      case TraceOpKind::kBinVS:
+        if (op.sew == 64) run_bin_vs<u64>(file, op, wide_imms_[op.aux]);
+        else run_bin_vs<u32>(file, op, wide_imms_[op.aux]);
+        break;
+      case TraceOpKind::kSplat: {
+        u8* d = file + op.d;
+        if (op.sew == 64) {
+          const u64 v = wide_imms_[op.aux];
+          for (u32 i = 0; i < op.n; ++i) st64(d + 8 * i, v);
+        } else {
+          const u32 v = static_cast<u32>(wide_imms_[op.aux]);
+          for (u32 i = 0; i < op.n; ++i) st32(d + 4 * i, v);
+        }
+        break;
+      }
+      case TraceOpKind::kCopyReg: {
+        u8* d = file + op.d;
+        const u8* a = file + op.a;
+        if (d <= a || a + op.n <= d) {
+          std::memmove(d, a, op.n);
+        } else {
+          // Forward-overlapping: copy element-wise ascending like vmv.v.v.
+          const u32 esz = op.sew / 8u;
+          for (u32 off = 0; off < op.n; off += esz) {
+            std::memmove(d + off, a + off, esz);
+          }
+        }
+        break;
+      }
+      case TraceOpKind::kLoadUnit:
+        mem.read_block(op.aux, std::span<u8>(file + op.d, op.n));
+        break;
+      case TraceOpKind::kStoreUnit:
+        mem.write_block(op.aux, std::span<const u8>(file + op.d, op.n));
+        break;
+      case TraceOpKind::kLoadGather:
+        for (u32 i = 0; i < op.n; ++i) {
+          const TraceMemElem& e = gather_elems_[op.aux + i];
+          const u64 v = mem.read_element(e.addr, op.sew);
+          std::memcpy(file + e.reg_off, &v, op.sew / 8u);
+        }
+        break;
+      case TraceOpKind::kStoreScatter:
+        for (u32 i = 0; i < op.n; ++i) {
+          const TraceMemElem& e = gather_elems_[op.aux + i];
+          u64 v = 0;
+          std::memcpy(&v, file + e.reg_off, op.sew / 8u);
+          mem.write_element(e.addr, op.sew, v);
+        }
+        break;
+      case TraceOpKind::kLoadStrided:
+        mem.read_strided(op.aux, static_cast<u32>(op.imm), op.sew / 8u,
+                         std::span<u8>(file + op.d, op.n * (op.sew / 8u)));
+        break;
+      case TraceOpKind::kStoreStrided:
+        mem.write_strided(
+            op.aux, static_cast<u32>(op.imm), op.sew / 8u,
+            std::span<const u8>(file + op.d, op.n * (op.sew / 8u)));
+        break;
+      case TraceOpKind::kScalarStore:
+        mem.write_element(op.aux, op.sew,
+                          static_cast<u64>(static_cast<u32>(op.imm)));
+        break;
+      case TraceOpKind::kSlideMod5:
+        if (op.sew == 64) run_slide_mod5<u64>(file, op);
+        else run_slide_mod5<u32>(file, op);
+        break;
+      case TraceOpKind::kRotup64: {
+        u8* d = file + op.d;
+        const u8* a = file + op.a;
+        const unsigned amt = static_cast<unsigned>(op.imm);
+        for (u32 e = 0; e < 5u * op.sn; ++e) {
+          st64(d + 8 * e, rotl64(ld64(a + 8 * e), amt));
+        }
+        break;
+      }
+      case TraceOpKind::kRho64Row: {
+        u8* d = file + op.d;
+        const u8* a = file + op.a;
+        const auto& offs = keccak::rho_offsets()[op.table_row];
+        for (u32 i = 0; i < op.sn; ++i) {
+          for (unsigned j = 0; j < 5; ++j) {
+            const u32 e = 5 * i + j;
+            st64(d + 8 * e, rotl64(ld64(a + 8 * e), offs[j]));
+          }
+        }
+        break;
+      }
+      case TraceOpKind::kRho32Row: {
+        u8* d = file + op.d;
+        const u8* hi = file + op.a;
+        const u8* lo = file + op.b;
+        const auto& offs = keccak::rho_offsets()[op.table_row];
+        for (u32 i = 0; i < op.sn; ++i) {
+          for (unsigned j = 0; j < 5; ++j) {
+            const u32 e = 5 * i + j;
+            const u64 rot =
+                rotl64(concat32(ld32(hi + 4 * e), ld32(lo + 4 * e)), offs[j]);
+            st32(d + 4 * e, op.flag ? hi32(rot) : lo32(rot));
+          }
+        }
+        break;
+      }
+      case TraceOpKind::kRot32Pair: {
+        u8* d = file + op.d;
+        const u8* hi = file + op.a;
+        const u8* lo = file + op.b;
+        for (u32 e = 0; e < 5u * op.sn; ++e) {
+          const u64 rot =
+              rotl64(concat32(ld32(hi + 4 * e), ld32(lo + 4 * e)), 1);
+          st32(d + 4 * e, op.flag ? hi32(rot) : lo32(rot));
+        }
+        break;
+      }
+      case TraceOpKind::kPiRow:
+        if (op.sew == 64) run_pi_row<u64>(file, op, rb);
+        else run_pi_row<u32>(file, op, rb);
+        break;
+      case TraceOpKind::kRhoPiRow: {
+        const u8* a = file + op.a;
+        const unsigned row = op.table_row;
+        const auto& offs = keccak::rho_offsets()[row];
+        for (u32 i = 0; i < op.sn; ++i) {
+          std::array<u64, 5> src;
+          for (unsigned xp = 0; xp < 5; ++xp) {
+            src[xp] = rotl64(ld64(a + 8 * (5 * i + xp)), offs[xp]);
+          }
+          for (unsigned xp = 0; xp < 5; ++xp) {
+            const unsigned y = (2 * (xp + 5 - row)) % 5;
+            st64(file + op.d + y * rb + 8 * (5 * i + row), src[xp]);
+          }
+        }
+        break;
+      }
+      case TraceOpKind::kIota:
+        if (op.sew == 64) run_iota<u64>(file, op, wide_imms_[op.aux]);
+        else run_iota<u32>(file, op, wide_imms_[op.aux]);
+        break;
+      case TraceOpKind::kThetaCRow: {
+        u8* d = file + op.d;
+        const u8* a = file + op.a;
+        for (u32 i = 0; i < op.sn; ++i) {
+          std::array<u64, 5> b;
+          for (unsigned j = 0; j < 5; ++j) b[j] = ld64(a + 8 * (5 * i + j));
+          for (unsigned j = 0; j < 5; ++j) {
+            st64(d + 8 * (5 * i + j),
+                 b[(j + 4) % 5] ^ rotl64(b[(j + 1) % 5], 1));
+          }
+        }
+        break;
+      }
+      case TraceOpKind::kChiRow:
+        if (op.sew == 64) run_chi_row<u64>(file, op);
+        else run_chi_row<u32>(file, op);
+        break;
+      case TraceOpKind::kGeneric: {
+        const TraceGenericOp& g = generic_ops_[op.aux];
+        if (g.sn != vu.config().effective_sn()) vu.set_sn(g.sn);
+        vu.set_exec_state(g.vtype, g.vl);
+        ScalarRegs x;
+        x.write(g.inst.rs1, g.rs1_value);
+        x.write(g.inst.rs2, g.rs2_value);
+        vu.execute(g.inst, x, mem, cm);  // recorded cycles stay authoritative
+        break;
+      }
+    }
+  }
 }
 
 u64 CompiledTrace::cycles_between(u32 from, u32 to) const {
@@ -865,13 +863,16 @@ u64 trace_key(const assembler::Program& program, const ProcessorConfig& cfg,
   return h;
 }
 
-/// Key separation between the plain, fused and host-SIMD compilations of
-/// one program. Each backend's map is also a distinct container, so a
-/// "trace" shard can never observe a fused artifact even on a hash
-/// collision (and likewise up the chain).
-constexpr u64 kFusedKeySalt = 0x46555345445F5452ull;     // "FUSED_TR"
-constexpr u64 kHostSimdKeySalt = 0x484F53545F53494Dull;  // "HOST_SIM"
-constexpr u64 kJitKeySalt = 0x4A49545F54524143ull;       // "JIT_TRAC"
+/// Key separation between a program's host-SIMD plan and its jit
+/// compilations. Each lives in its own map as well, so a host-simd shard can
+/// never observe native code even on a hash collision.
+constexpr u64 kJitKeySalt = 0x4A49545F54524143ull;  // "JIT_TRAC"
+
+u64 elapsed_ns(std::chrono::steady_clock::time_point t0) {
+  return static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+}
 
 }  // namespace
 
@@ -937,7 +938,7 @@ obs::Counter& jit_ns() {
 obs::Gauge& entries_gauge() {
   static obs::Gauge& g = obs::MetricsRegistry::global().gauge(
       "kvx_trace_cache_entries",
-      "Live cached artifacts across all backend tiers");
+      "Live cached host-SIMD plans and jit compilations");
   return g;
 }
 obs::Gauge& bytes_gauge() {
@@ -953,8 +954,9 @@ void hit_event() {
   obs::FlightRecorder::global().record(obs::FlightEventType::kTraceCacheHit);
 }
 
-/// Flight-recorder artifact tiers (dump format: kTraceCompile/kTraceReject
-/// code field): 0 trace, 1 fused, 2 host-simd, 3 jit.
+/// Flight-recorder build stages (dump format: kTraceCompile/kTraceReject
+/// code field): 0 trace compile, 1 fusion pass, 2 host-SIMD lowering,
+/// 3 jit emission.
 void compile_event(u16 tier, u64 ns) {
   obs::FlightRecorder::global().record(obs::FlightEventType::kTraceCompile,
                                        tier, ns);
@@ -972,10 +974,11 @@ TraceCache& TraceCache::global() {
   return cache;
 }
 
-std::shared_ptr<const CompiledTrace> TraceCache::lookup_or_compile_locked(
+std::shared_ptr<const HostSimdTrace> TraceCache::lookup_or_lower_locked(
     u64 key, const assembler::Program& program, const ProcessorConfig& cfg,
     const TraceCompileOptions& opts) {
-  if (const auto it = entries_.find(key); it != entries_.end()) {
+  if (const auto it = host_simd_entries_.find(key);
+      it != host_simd_entries_.end()) {
     ++stats_.hits;
     cache_obs::hit_event();
     return it->second;
@@ -985,27 +988,12 @@ std::shared_ptr<const CompiledTrace> TraceCache::lookup_or_compile_locked(
     cache_obs::hit_event();
     throw SimError(it->second);
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto elapsed_ns = [&t0] {
-    return static_cast<u64>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  };
+  auto t0 = std::chrono::steady_clock::now();
+  std::shared_ptr<const CompiledTrace> trace;
   try {
-    auto trace = compile_trace(program, cfg, opts);
-    const u64 ns = elapsed_ns();
-    stats_.compile_ns += ns;
-    ++stats_.compiles;
-    cache_obs::compile_ns().inc(ns);
-    cache_obs::compiles().inc();
-    cache_obs::compile_event(0, ns);
-    entries_.emplace(key, trace);
-    resident_bytes_ += trace->memory_bytes();
-    refresh_occupancy_locked();
-    return trace;
+    trace = compile_trace(program, cfg, opts);
   } catch (const Error& e) {
-    const u64 ns = elapsed_ns();
+    const u64 ns = elapsed_ns(t0);
     stats_.compile_ns += ns;
     ++stats_.failures;
     cache_obs::compile_ns().inc(ns);
@@ -1014,119 +1002,56 @@ std::shared_ptr<const CompiledTrace> TraceCache::lookup_or_compile_locked(
     failed_.emplace(key, e.what());
     throw;
   }
-}
+  u64 ns = elapsed_ns(t0);
+  stats_.compile_ns += ns;
+  ++stats_.compiles;
+  cache_obs::compile_ns().inc(ns);
+  cache_obs::compiles().inc();
+  cache_obs::compile_event(0, ns);
+  const usize trace_bytes = trace->memory_bytes();
 
-std::shared_ptr<const CompiledTrace> TraceCache::get_or_compile(
-    const assembler::Program& program, const ProcessorConfig& cfg,
-    const TraceCompileOptions& opts) {
-  const u64 key = trace_key(program, cfg, opts);
-  std::lock_guard lock(mutex_);
-  return lookup_or_compile_locked(key, program, cfg, opts);
-}
-
-std::shared_ptr<const FusedTrace> TraceCache::lookup_or_fuse_locked(
-    u64 base_key, const assembler::Program& program,
-    const ProcessorConfig& cfg, const TraceCompileOptions& opts) {
-  const u64 fused_key = base_key ^ kFusedKeySalt;
-  if (const auto it = fused_entries_.find(fused_key);
-      it != fused_entries_.end()) {
-    ++stats_.hits;
-    cache_obs::hit_event();
-    return it->second;
-  }
-  // Share the recording with the plain-trace entry: one compile serves both
-  // backends, but the fused artifact is cached under its own key.
-  auto base = lookup_or_compile_locked(base_key, program, cfg, opts);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto fused = fuse_trace(std::move(base));
-  const u64 ns = static_cast<u64>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
+  t0 = std::chrono::steady_clock::now();
+  auto fused = fuse_trace(std::move(trace));
+  ns = elapsed_ns(t0);
   stats_.fuse_ns += ns;
   ++stats_.fusions;
   cache_obs::fuse_ns().inc(ns);
   cache_obs::fusions().inc();
   cache_obs::compile_event(1, ns);
-  fused_entries_.emplace(fused_key, fused);
-  resident_bytes_ += fused->memory_bytes();
+  const usize fused_bytes = fused->memory_bytes();
+
+  t0 = std::chrono::steady_clock::now();
+  auto hs = lower_host_simd(std::move(fused));
+  ns = elapsed_ns(t0);
+  stats_.lower_ns += ns;
+  ++stats_.lowerings;
+  cache_obs::lower_ns().inc(ns);
+  cache_obs::lowerings().inc();
+  cache_obs::compile_event(2, ns);
+  host_simd_entries_.emplace(key, hs);
+  resident_bytes_ += trace_bytes + fused_bytes + hs->memory_bytes();
   refresh_occupancy_locked();
-  return fused;
-}
-
-std::shared_ptr<const FusedTrace> TraceCache::get_or_compile_fused(
-    const assembler::Program& program, const ProcessorConfig& cfg,
-    const TraceCompileOptions& opts) {
-  const u64 base_key = trace_key(program, cfg, opts);
-  std::lock_guard lock(mutex_);
-  return lookup_or_fuse_locked(base_key, program, cfg, opts);
-}
-
-std::shared_ptr<const HostSimdTrace> TraceCache::lookup_or_lower_locked(
-    u64 base_key, const assembler::Program& program,
-    const ProcessorConfig& cfg, const TraceCompileOptions& opts) {
-  const u64 hs_key = base_key ^ kHostSimdKeySalt;
-  if (const auto it = host_simd_entries_.find(hs_key);
-      it != host_simd_entries_.end()) {
-    ++stats_.hits;
-    cache_obs::hit_event();
-    return it->second;
-  }
-  if (const auto it = failed_.find(hs_key); it != failed_.end()) {
-    ++stats_.hits;  // negative-cache hit: rejected without re-lowering
-    cache_obs::hit_event();
-    throw SimError(it->second);
-  }
-  // Share the fused artifact (and through it the recording) with the lower
-  // tiers; only the lowering plan is built (and cached) per this backend.
-  auto fused = lookup_or_fuse_locked(base_key, program, cfg, opts);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto elapsed_ns = [&t0] {
-    return static_cast<u64>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  };
-  try {
-    auto hs = lower_host_simd(std::move(fused));
-    const u64 ns = elapsed_ns();
-    stats_.lower_ns += ns;
-    ++stats_.lowerings;
-    cache_obs::lower_ns().inc(ns);
-    cache_obs::lowerings().inc();
-    cache_obs::compile_event(2, ns);
-    host_simd_entries_.emplace(hs_key, hs);
-    resident_bytes_ += hs->memory_bytes();
-    refresh_occupancy_locked();
-    return hs;
-  } catch (const Error& e) {
-    const u64 ns = elapsed_ns();
-    stats_.lower_ns += ns;
-    cache_obs::lower_ns().inc(ns);
-    cache_obs::reject_event(2, e.what());
-    failed_.emplace(hs_key, e.what());
-    throw;
-  }
+  return hs;
 }
 
 std::shared_ptr<const HostSimdTrace> TraceCache::get_or_compile_host_simd(
     const assembler::Program& program, const ProcessorConfig& cfg,
     const TraceCompileOptions& opts) {
-  const u64 base_key = trace_key(program, cfg, opts);
+  const u64 key = trace_key(program, cfg, opts);
   std::lock_guard lock(mutex_);
-  return lookup_or_lower_locked(base_key, program, cfg, opts);
+  return lookup_or_lower_locked(key, program, cfg, opts);
 }
 
 std::shared_ptr<const JitTrace> TraceCache::get_or_compile_jit(
     const assembler::Program& program, const ProcessorConfig& cfg,
     const TraceCompileOptions& opts) {
-  const u64 base_key = trace_key(program, cfg, opts);
+  const u64 key = trace_key(program, cfg, opts);
   // The resolved emission ISA is part of the key: a test pin (or
   // KVX_HOST_SIMD_ISA) flipping between AVX-512 and AVX2 must produce two
   // distinct native compilations, not serve one for the other.
   const HostSimdIsa isa = host_simd_dispatch_isa(cfg.vector.sn);
   const u64 jit_key =
-      base_key ^ kJitKeySalt ^ fnv1a_value(0xCBF29CE484222325ull, isa);
+      key ^ kJitKeySalt ^ fnv1a_value(0xCBF29CE484222325ull, isa);
   std::lock_guard lock(mutex_);
   if (const auto it = jit_entries_.find(jit_key); it != jit_entries_.end()) {
     ++stats_.hits;
@@ -1136,17 +1061,11 @@ std::shared_ptr<const JitTrace> TraceCache::get_or_compile_jit(
   // No negative caching here: an mmap/mprotect refusal is transient host
   // state, and an unsupported-ISA resolution is already cheap to rediscover
   // (lower_jit throws before emitting a byte).
-  auto hs = lookup_or_lower_locked(base_key, program, cfg, opts);
+  auto hs = lookup_or_lower_locked(key, program, cfg, opts);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto elapsed_ns = [&t0] {
-    return static_cast<u64>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  };
   try {
     auto jit = lower_jit(std::move(hs));
-    const u64 ns = elapsed_ns();
+    const u64 ns = elapsed_ns(t0);
     stats_.jit_ns += ns;
     ++stats_.jit_compiles;
     cache_obs::jit_ns().inc(ns);
@@ -1157,7 +1076,7 @@ std::shared_ptr<const JitTrace> TraceCache::get_or_compile_jit(
     refresh_occupancy_locked();
     return jit;
   } catch (const Error& e) {
-    const u64 ns = elapsed_ns();
+    const u64 ns = elapsed_ns(t0);
     stats_.jit_ns += ns;
     cache_obs::jit_ns().inc(ns);
     cache_obs::reject_event(3, e.what());
@@ -1166,8 +1085,7 @@ std::shared_ptr<const JitTrace> TraceCache::get_or_compile_jit(
 }
 
 void TraceCache::refresh_occupancy_locked() {
-  stats_.entries = entries_.size() + fused_entries_.size() +
-                   host_simd_entries_.size() + jit_entries_.size();
+  stats_.entries = host_simd_entries_.size() + jit_entries_.size();
   stats_.resident_bytes = resident_bytes_;
   cache_obs::entries_gauge().set(static_cast<double>(stats_.entries));
   cache_obs::bytes_gauge().set(static_cast<double>(stats_.resident_bytes));
@@ -1180,8 +1098,6 @@ TraceCacheStats TraceCache::stats() const {
 
 void TraceCache::clear() {
   std::lock_guard lock(mutex_);
-  entries_.clear();
-  fused_entries_.clear();
   host_simd_entries_.clear();
   jit_entries_.clear();
   failed_.clear();

@@ -382,7 +382,7 @@ namespace {
 
 /// A lowered segment must amortize its pack/unpack transposes: two full
 /// rounds of super-kernels is comfortably past break-even, shorter runs
-/// (e.g. a single-round program) execute through the fused tier instead.
+/// (e.g. a single-round program) replay their records instead.
 constexpr usize kMinSegmentKernels = 6;
 
 /// The kernels bake the ρ offsets as immediates; refuse to lower against a
@@ -419,9 +419,10 @@ std::shared_ptr<const HostSimdTrace> lower_host_simd(
   // Lowerable: the step kernels over full-width rows — 64-bit planes (one
   // register row == 5·sn 64-bit lanes) or the 32-bit split halves (one row
   // == 5·sn 32-bit words per half; pack joins the lo and hi words into
-  // 64-bit lanes, so the same kernels run on them). Replay ranges stay on
-  // the fused tier. One plan runs at one SN, set by the first lowerable
-  // op; as rb is fixed, that also fixes the width (split or 64-bit).
+  // 64-bit lanes, so the same kernels run on them); everything else
+  // replays its records. One plan runs at one SN, set by the first
+  // lowerable op; as rb is fixed, that also fixes the width (split or
+  // 64-bit).
   const auto is_split = [](const FusedOp& f) noexcept {
     return f.kind == FusedOpKind::kTheta32 ||
            f.kind == FusedOpKind::kRhoPi32 || f.kind == FusedOpKind::kChi32;
@@ -456,16 +457,25 @@ std::shared_ptr<const HostSimdTrace> lower_host_simd(
     return std::pair{f.dst, is_split(f) ? f.dst2 : 0u};
   };
 
-  const auto emit_fused = [&hs](usize idx) {
+  // An op the plan does not lower replays its own records, extending the
+  // previous item when that is a replay range ending right before it.
+  const auto emit_replay = [&hs](const FusedOp& f) {
+    auto& items = hs->items_;
+    if (!items.empty() && items.back().kernel_count == 0 &&
+        items.back().first + items.back().count == f.first) {
+      items.back().count += f.count;
+      return;
+    }
     HostSimdItem item;
-    item.fused_index = static_cast<u32>(idx);
-    hs->items_.push_back(item);
+    item.first = f.first;
+    item.count = f.count;
+    items.push_back(item);
   };
 
   usize i = 0;
   while (i < fops.size()) {
     if (!lowerable(fops[i])) {
-      emit_fused(i);
+      emit_replay(fops[i]);
       ++i;
       continue;
     }
@@ -480,7 +490,7 @@ std::shared_ptr<const HostSimdTrace> lower_host_simd(
     }
     const usize len = j - i;
     if (len < kMinSegmentKernels) {
-      for (usize k = i; k < i + len; ++k) emit_fused(k);
+      for (usize k = i; k < i + len; ++k) emit_replay(fops[k]);
       i += len;
       continue;
     }
@@ -517,7 +527,7 @@ std::shared_ptr<const HostSimdTrace> lower_host_simd(
     }
     // Last-writer marks: materialize each location's final value back to
     // the regfile so inter-segment replay (and the caller's final regfile
-    // comparison) sees exactly what fused replay would have written.
+    // comparison) sees exactly what full replay would have written.
     // Everything a non-final kernel writes is overwritten later in the
     // segment and therefore dead — the packed registers carry it instead.
     {
@@ -539,10 +549,8 @@ std::shared_ptr<const HostSimdTrace> lower_host_simd(
     i += len;
   }
 
-  if (hs->lowered_records_ == 0) {
-    throw SimError("host-simd lowering: no super-kernel runs to lower");
-  }
-  hs->sn_ = plan_sn;
+  // An all-replay plan (nothing lowered) has no SN of its own.
+  hs->sn_ = hs->segments_ != 0 ? plan_sn : 0;
   return hs;
 }
 
@@ -552,20 +560,19 @@ std::shared_ptr<const HostSimdTrace> lower_host_simd(
 
 void HostSimdTrace::execute(VectorUnit& vu, Memory& mem,
                             const CycleModel& cm) const {
-  KVX_CHECK_MSG(vu.reg_bytes() == fused_->base().reg_bytes(),
+  KVX_CHECK_MSG(vu.reg_bytes() == base().reg_bytes(),
                 "trace compiled for a different vector configuration");
   const HostSimdIsa isa = host_simd_dispatch_isa(sn_);
   const GroupRunner run = runner_for(isa);
   const u32 pack = host_simd_pack_width(isa);
   const u32 groups = (sn_ + pack - 1) / pack;
   u8* file = vu.file_data();
-  const u32 rb = static_cast<u32>(fused_->base().reg_bytes());
+  const u32 rb = static_cast<u32>(base().reg_bytes());
   const unsigned entry_sn = vu.config().effective_sn();
-  const auto& fops = fused_->fused_ops();
   const ScratchRow* rows = fused_->scratch_rows().data();
   for (const HostSimdItem& item : items_) {
     if (item.kernel_count == 0) {
-      fused_->execute_op(fops[item.fused_index], vu, mem, cm);
+      base().replay(item.first, item.count, vu, mem, cm);
       continue;
     }
     for (u32 g = 0; g < groups; ++g) {

@@ -7,248 +7,14 @@
 #include <utility>
 
 #include "kvx/common/bits.hpp"
-#include "kvx/common/error.hpp"
-#include "kvx/keccak/permutation.hpp"
-#include "kvx/sim/host_simd.hpp"
-
-// Host-SIMD lowering: GCC/Clang vector extensions. __builtin_shufflevector
-// arrived in GCC 12, so probe for the builtin rather than a version.
-#if defined(KVX_HOST_SIMD) && KVX_HOST_SIMD && defined(__has_builtin)
-#if __has_builtin(__builtin_shufflevector)
-#define KVX_FUSION_SIMD 1
-#endif
-#endif
-#ifndef KVX_FUSION_SIMD
-#define KVX_FUSION_SIMD 0
-#endif
 
 namespace kvx::sim {
 
 namespace {
 
-/// Largest SN the super-kernels size their stack buffers for; wider traces
-/// fall back to per-record replay (still correct, just unfused).
+/// Largest SN the matcher fuses; write_scratch_rows sizes its stack buffers
+/// for it. Wider traces stay on per-record replay (still correct).
 constexpr u32 kMaxSn = 16;
-
-inline u64 ld64(const u8* p) noexcept {
-  u64 v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-inline void st64(u8* p, u64 v) noexcept { std::memcpy(p, &v, 8); }
-inline u32 ld32(const u8* p) noexcept {
-  u32 v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-inline void st32(u8* p, u32 v) noexcept { std::memcpy(p, &v, 4); }
-
-#if KVX_FUSION_SIMD
-typedef u64 v4u64 __attribute__((vector_size(32)));
-inline v4u64 ldv(const u8* p) noexcept {
-  v4u64 v;
-  std::memcpy(&v, p, 32);
-  return v;
-}
-inline void stv(u8* p, v4u64 v) noexcept { std::memcpy(p, &v, 32); }
-#endif
-
-// ---------------------------------------------------------------------------
-// Super-kernels. All offsets were validated by the matcher: plane spans are
-// register-aligned (one row == one register == rb bytes == 5·sn elements)
-// and scratch never aliases an input or output span.
-// ---------------------------------------------------------------------------
-
-/// θ over five 64-bit planes at `f.dst + k·rb`: column parity B, combine
-/// D[x] = B[x-1] ^ rotl(B[x+1], 1), apply. B and D live in host registers —
-/// the recorded scratch-register writes are elided (live-out rows are
-/// written from their recipes before the kernel runs).
-void run_theta64(u8* file, const FusedOp& f, u32 rb) {
-  const u32 sn = f.sn;
-  const u32 ne = 5u * sn;
-  u64 B[5 * kMaxSn];
-  u64 D[5 * kMaxSn];
-  u8* p = file + f.dst;
-  u32 e = 0;
-#if KVX_FUSION_SIMD
-  for (; e + 4 <= ne; e += 4) {
-    const v4u64 acc = ldv(p + 8 * e) ^ ldv(p + rb + 8 * e) ^
-                      ldv(p + 2 * rb + 8 * e) ^ ldv(p + 3 * rb + 8 * e) ^
-                      ldv(p + 4 * rb + 8 * e);
-    std::memcpy(&B[e], &acc, 32);
-  }
-#endif
-  for (; e < ne; ++e) {
-    B[e] = ld64(p + 8 * e) ^ ld64(p + rb + 8 * e) ^ ld64(p + 2 * rb + 8 * e) ^
-           ld64(p + 3 * rb + 8 * e) ^ ld64(p + 4 * rb + 8 * e);
-  }
-  for (u32 i = 0; i < sn; ++i) {
-    for (u32 j = 0; j < 5; ++j) {
-      D[5 * i + j] =
-          B[5 * i + (j + 4) % 5] ^ rotl64(B[5 * i + (j + 1) % 5], 1);
-    }
-  }
-  for (u32 k = 0; k < 5; ++k) {
-    u8* row = p + k * rb;
-    e = 0;
-#if KVX_FUSION_SIMD
-    for (; e + 4 <= ne; e += 4) {
-      v4u64 d;
-      std::memcpy(&d, &D[e], 32);
-      stv(row + 8 * e, ldv(row + 8 * e) ^ d);
-    }
-#endif
-    for (; e < ne; ++e) st64(row + 8 * e, ld64(row + 8 * e) ^ D[e]);
-  }
-}
-
-/// θ over the 32-bit split representation: lo halves at `f.dst + k·rb`, hi
-/// halves at `f.dst2 + k·rb`. The rotate-by-one crosses the halves, so the
-/// combine works on reassembled 64-bit lanes.
-void run_theta32(u8* file, const FusedOp& f, u32 rb) {
-  const u32 sn = f.sn;
-  const u32 ne = 5u * sn;
-  u32 Bl[5 * kMaxSn], Bh[5 * kMaxSn];
-  u32 Dl[5 * kMaxSn], Dh[5 * kMaxSn];
-  u8* lo = file + f.dst;
-  u8* hi = file + f.dst2;
-  for (u32 e = 0; e < ne; ++e) {
-    Bl[e] = ld32(lo + 4 * e) ^ ld32(lo + rb + 4 * e) ^
-            ld32(lo + 2 * rb + 4 * e) ^ ld32(lo + 3 * rb + 4 * e) ^
-            ld32(lo + 4 * rb + 4 * e);
-    Bh[e] = ld32(hi + 4 * e) ^ ld32(hi + rb + 4 * e) ^
-            ld32(hi + 2 * rb + 4 * e) ^ ld32(hi + 3 * rb + 4 * e) ^
-            ld32(hi + 4 * rb + 4 * e);
-  }
-  for (u32 i = 0; i < sn; ++i) {
-    for (u32 j = 0; j < 5; ++j) {
-      const u32 up = 5 * i + (j + 4) % 5;
-      const u32 dn = 5 * i + (j + 1) % 5;
-      const u64 rot = rotl64(concat32(Bh[dn], Bl[dn]), 1);
-      Dl[5 * i + j] = Bl[up] ^ lo32(rot);
-      Dh[5 * i + j] = Bh[up] ^ hi32(rot);
-    }
-  }
-  for (u32 k = 0; k < 5; ++k) {
-    u8* rl = lo + k * rb;
-    u8* rh = hi + k * rb;
-    for (u32 e = 0; e < ne; ++e) {
-      st32(rl + 4 * e, ld32(rl + 4 * e) ^ Dl[e]);
-      st32(rh + 4 * e, ld32(rh + 4 * e) ^ Dh[e]);
-    }
-  }
-}
-
-/// ρ+π over 64-bit planes: rotate each lane of source row r by ρ[r][x'] and
-/// scatter it to output plane y = (2(x'-r)) mod 5, element 5i+r. The
-/// matcher guarantees [dst, dst+5rb) and [src, src+5rb) are disjoint.
-void run_rhopi64(u8* file, const FusedOp& f, u32 rb) {
-  const u32 sn = f.sn;
-  const auto& rho = keccak::rho_offsets();
-  for (u32 r = 0; r < 5; ++r) {
-    const u8* srow = file + f.src + r * rb;
-    for (u32 i = 0; i < sn; ++i) {
-      for (u32 xp = 0; xp < 5; ++xp) {
-        const u64 val = rotl64(ld64(srow + 8 * (5 * i + xp)), rho[r][xp]);
-        const u32 y = (2 * (xp + 5 - r)) % 5;
-        st64(file + f.dst + y * rb + 8 * (5 * i + r), val);
-      }
-    }
-  }
-}
-
-/// ρ+π over the 32-bit split representation. The π destinations are the
-/// source planes themselves (lo→lo, hi→hi), so both source spans are
-/// buffered before any store.
-void run_rhopi32(u8* file, const FusedOp& f, u32 rb) {
-  const u32 sn = f.sn;
-  const u32 ne = 5u * sn;
-  u32 lo[5 * 5 * kMaxSn], hi[5 * 5 * kMaxSn];
-  for (u32 r = 0; r < 5; ++r) {
-    for (u32 e = 0; e < ne; ++e) {
-      lo[r * ne + e] = ld32(file + f.src + r * rb + 4 * e);
-      hi[r * ne + e] = ld32(file + f.src2 + r * rb + 4 * e);
-    }
-  }
-  const auto& rho = keccak::rho_offsets();
-  for (u32 r = 0; r < 5; ++r) {
-    for (u32 i = 0; i < sn; ++i) {
-      for (u32 xp = 0; xp < 5; ++xp) {
-        const u32 e = r * ne + 5 * i + xp;
-        const u64 val = rotl64(concat32(hi[e], lo[e]), rho[r][xp]);
-        const u32 y = (2 * (xp + 5 - r)) % 5;
-        const u32 off = y * rb + 4 * (5 * i + r);
-        st32(file + f.dst + off, lo32(val));
-        st32(file + f.dst2 + off, hi32(val));
-      }
-    }
-  }
-}
-
-/// χ rows of one 32-bit plane set: `src` → `dst`, with ι's `rc` XORed into
-/// lane x=0 of output row 0 when `iota` is set.
-void run_chi_plane32(u8* file, u32 src, u32 dst, u32 sn, u32 rb, bool iota,
-                     u32 rc) {
-  for (u32 r = 0; r < 5; ++r) {
-    const u8* fr = file + src + r * rb;
-    u8* orow = file + dst + r * rb;
-    for (u32 i = 0; i < sn; ++i) {
-      u32 t[5], o[5];
-      for (u32 j = 0; j < 5; ++j) t[j] = ld32(fr + 4 * (5 * i + j));
-      for (u32 j = 0; j < 5; ++j) {
-        o[j] = t[j] ^ (~t[(j + 1) % 5] & t[(j + 2) % 5]);
-      }
-      if (iota && r == 0) o[0] ^= rc;
-      for (u32 j = 0; j < 5; ++j) st32(orow + 4 * (5 * i + j), o[j]);
-    }
-  }
-}
-
-/// χ rows: out[x] = f[x] ^ (~f[x+1] & f[x+2]) within each 5-lane group of
-/// every row, plus the optionally merged ι (RC into lane x=0 of row 0).
-/// Safe for out == f: each 5-group is fully read before it is written.
-void run_chi(u8* file, const FusedOp& f, u32 rb) {
-  const u32 sn = f.sn;
-  const bool iota = (f.flags & kFusedHasIota) != 0;
-  if (f.sew == 64) {
-    for (u32 r = 0; r < 5; ++r) {
-      const u8* fr = file + f.src + r * rb;
-      u8* orow = file + f.dst + r * rb;
-      for (u32 i = 0; i < sn; ++i) {
-#if KVX_FUSION_SIMD
-        const v4u64 a = ldv(fr + 8 * (5 * i));      // f0 f1 f2 f3
-        const v4u64 b = ldv(fr + 8 * (5 * i + 1));  // f1 f2 f3 f4
-        const v4u64 c = __builtin_shufflevector(a, b, 2, 3, 7, 0);
-        v4u64 o = a ^ (~b & c);
-        const u64 o4 = b[3] ^ (~a[0] & a[1]);  // f4 ^ (~f0 & f1)
-        if (iota && r == 0) o[0] ^= f.iota_rc;
-        stv(orow + 8 * (5 * i), o);
-        st64(orow + 8 * (5 * i + 4), o4);
-#else
-        u64 t[5], o[5];
-        for (u32 j = 0; j < 5; ++j) t[j] = ld64(fr + 8 * (5 * i + j));
-        for (u32 j = 0; j < 5; ++j) {
-          o[j] = t[j] ^ (~t[(j + 1) % 5] & t[(j + 2) % 5]);
-        }
-        if (iota && r == 0) o[0] ^= f.iota_rc;
-        for (u32 j = 0; j < 5; ++j) st64(orow + 8 * (5 * i + j), o[j]);
-#endif
-      }
-    }
-  } else {
-    run_chi_plane32(file, f.src, f.dst, sn, rb, iota, lo32(f.iota_rc));
-  }
-}
-
-/// χ (+ι) over the 32-bit split representation: χ is bitwise, so each half
-/// runs on its own planes; the merged 64-bit round constant splits into
-/// its lo/hi words. The matcher guarantees the lo and hi planes are
-/// disjoint, so running the halves one after the other is exact.
-void run_chi32(u8* file, const FusedOp& f, u32 rb) {
-  const bool iota = (f.flags & kFusedHasIota) != 0;
-  run_chi_plane32(file, f.src, f.dst, f.sn, rb, iota, lo32(f.iota_rc));
-  run_chi_plane32(file, f.src2, f.dst2, f.sn, rb, iota, hi32(f.iota_rc));
-}
 
 // ---------------------------------------------------------------------------
 // Pattern matcher. Works purely on record shapes and byte offsets, so it is
@@ -1047,60 +813,7 @@ void keep_live_scratch(const CompiledTrace& t, std::vector<Group>& groups) {
   }
 }
 
-/// The live-out scratch of `f` from its input planes: θ reads its planes in
-/// place, χ its source, before the kernel overwrites them. A lone 32-bit χ
-/// packs its planes as both words; its rows read the lo word.
-void write_scratch(u8* file, const FusedOp& f, const ScratchRow* rows,
-                   u32 rb) {
-  const bool theta =
-      f.kind == FusedOpKind::kTheta64 || f.kind == FusedOpKind::kTheta32;
-  const u32 lo = theta ? f.dst : f.src;
-  u64 buf[25 * kMaxSn];
-  if (f.sew == 64) {
-    host_simd_pack(file, lo, rb, f.sn, 0, f.sn, buf);
-  } else {
-    const bool split =
-        f.kind == FusedOpKind::kTheta32 || f.kind == FusedOpKind::kChi32;
-    const u32 hi = !split ? lo : theta ? f.dst2 : f.src2;
-    host_simd_pack_split(file, lo, hi, rb, f.sn, 0, f.sn, buf);
-  }
-  write_scratch_rows(file, f.sn, 0, f.sn, buf, rows, f.scratch_count);
-}
-
 }  // namespace
-
-void FusedTrace::execute_op(const FusedOp& f, VectorUnit& vu, Memory& mem,
-                            const CycleModel& cm) const {
-  u8* file = vu.file_data();
-  const u32 rb = static_cast<u32>(base_->reg_bytes());
-  if (f.scratch_count != 0) {
-    write_scratch(file, f, scratch_.data() + f.scratch_first, rb);
-  }
-  switch (f.kind) {
-    case FusedOpKind::kReplayRange: {
-      const auto& ops = base_->ops();
-      for (u32 i = f.first; i < f.first + f.count; ++i) {
-        base_->execute_op(ops[i], vu, mem, cm, file);
-      }
-      break;
-    }
-    case FusedOpKind::kTheta64: run_theta64(file, f, rb); break;
-    case FusedOpKind::kTheta32: run_theta32(file, f, rb); break;
-    case FusedOpKind::kRhoPi64: run_rhopi64(file, f, rb); break;
-    case FusedOpKind::kRhoPi32: run_rhopi32(file, f, rb); break;
-    case FusedOpKind::kChi: run_chi(file, f, rb); break;
-    case FusedOpKind::kChi32: run_chi32(file, f, rb); break;
-  }
-}
-
-void FusedTrace::execute(VectorUnit& vu, Memory& mem,
-                         const CycleModel& cm) const {
-  KVX_CHECK_MSG(vu.reg_bytes() == base_->reg_bytes(),
-                "trace compiled for a different vector configuration");
-  const unsigned entry_sn = vu.config().effective_sn();
-  for (const FusedOp& f : fused_) execute_op(f, vu, mem, cm);
-  if (vu.config().effective_sn() != entry_sn) vu.set_sn(entry_sn);
-}
 
 std::shared_ptr<const FusedTrace> fuse_trace(
     std::shared_ptr<const CompiledTrace> base) {
@@ -1218,7 +931,5 @@ void write_scratch_rows(u8* file, u32 sn, u32 s0, u32 pack, const u64* buf,
     }
   }
 }
-
-bool fusion_host_simd() noexcept { return KVX_FUSION_SIMD != 0; }
 
 }  // namespace kvx::sim

@@ -1,8 +1,10 @@
-// Differential tests of the compiled-trace execution backend: replays must
-// be bit-identical to the interpreter — digests, final register state, data
-// memory and cycle counts — across all three paper configurations, and
-// programs whose behavior depends on the staged state data must be
-// rejected at compile time.
+// Differential tests of the compiled trace, the recording and replay
+// substrate of the host-simd and jit tiers: a full replay, and every
+// trace-backed tier built on it, must be bit-identical to the interpreter —
+// digests, final register state, data memory and cycle counts — across all
+// three paper configurations, programs whose behavior depends on the staged
+// state data must be rejected at compile time, and the trace cache must
+// build each plan once.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -21,6 +23,11 @@ namespace {
 
 using keccak::State;
 using sim::ExecBackend;
+
+/// The tiers that execute the recording: host-simd always builds; jit
+/// either emits or demotes to host-simd at construction.
+constexpr ExecBackend kTraceBackedTiers[] = {ExecBackend::kHostSimd,
+                                             ExecBackend::kJit};
 
 std::vector<State> random_states(usize n, u64 seed) {
   SplitMix64 rng(seed);
@@ -65,35 +72,39 @@ class BackendDifferential
 
 TEST_P(BackendDifferential, PermuteMatchesInterpreterBitExactly) {
   VectorKeccak interp(config(ExecBackend::kInterpreter));
-  VectorKeccak traced(config(ExecBackend::kCompiledTrace));
-  ASSERT_EQ(traced.active_backend(), ExecBackend::kCompiledTrace)
-      << "trace compilation unexpectedly fell back to the interpreter";
+  for (const ExecBackend tier : kTraceBackedTiers) {
+    SCOPED_TRACE(sim::backend_name(tier));
+    VectorKeccak traced(config(tier));
+    ASSERT_NE(traced.active_backend(), ExecBackend::kInterpreter)
+        << "trace compilation unexpectedly fell back to the interpreter";
 
-  for (const u64 seed : {1u, 99u, 4242u}) {
-    auto a = random_states(sn(), seed);
-    auto b = a;
-    auto golden = a;
-    interp.permute(a);
-    traced.permute(b);
-    for (State& s : golden) keccak::permute(s);
-    for (usize i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i], golden[i]) << "interpreter diverged from golden model";
-      EXPECT_EQ(b[i], a[i]) << arch_name(arch()) << " state " << i;
+    for (const u64 seed : {1u, 99u, 4242u}) {
+      auto a = random_states(sn(), seed);
+      auto b = a;
+      auto golden = a;
+      interp.permute(a);
+      traced.permute(b);
+      for (State& s : golden) keccak::permute(s);
+      for (usize i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i], golden[i]) << "interpreter diverged from golden model";
+        EXPECT_EQ(b[i], a[i]) << arch_name(arch()) << " state " << i;
+      }
+      // Cycle accounting is recorded, so it must be bit-identical too.
+      EXPECT_EQ(traced.last_timing().total_cycles,
+                interp.last_timing().total_cycles);
+      EXPECT_EQ(traced.last_timing().permutation_cycles,
+                interp.last_timing().permutation_cycles);
+      EXPECT_EQ(traced.last_timing().instructions,
+                interp.last_timing().instructions);
     }
-    // Cycle accounting is recorded, so it must be bit-identical too.
-    EXPECT_EQ(traced.last_timing().total_cycles,
-              interp.last_timing().total_cycles);
-    EXPECT_EQ(traced.last_timing().permutation_cycles,
-              interp.last_timing().permutation_cycles);
-    EXPECT_EQ(traced.last_timing().instructions,
-              interp.last_timing().instructions);
   }
 }
 
 TEST_P(BackendDifferential, RandomizedRegisterFileSeedReplay) {
   // Seed two processors with the same random register file and state data,
-  // run one through the interpreter and one through the compiled trace, and
-  // compare every vector register and all of data memory.
+  // run one through the interpreter and one through a full replay of the
+  // compiled trace, and compare every vector register and all of data
+  // memory.
   const VectorKeccakConfig cfg = config(ExecBackend::kInterpreter);
   const auto program = VectorKeccak::build_program(cfg);
 
@@ -122,7 +133,8 @@ TEST_P(BackendDifferential, RandomizedRegisterFileSeedReplay) {
   pt.dmem().write_block(opts.verify_base, state_data);
 
   pi.run();
-  trace->execute(pt.vector(), pt.dmem(), pt.config().cycle_model);
+  trace->replay(0, trace->op_count(), pt.vector(), pt.dmem(),
+                pt.config().cycle_model);
 
   for (unsigned r = 0; r < 32; ++r) {
     EXPECT_EQ(pt.vector().get_register(r), pi.vector().get_register(r))
@@ -139,16 +151,21 @@ TEST_P(BackendDifferential, RandomizedRegisterFileSeedReplay) {
 
 TEST_P(BackendDifferential, Sha3DigestsMatchInterpreterAndGolden) {
   ParallelSha3 interp(config(ExecBackend::kInterpreter));
-  ParallelSha3 traced(config(ExecBackend::kCompiledTrace));
   const auto msgs = random_messages(4 * sn() + 1, 0xC0DE + sn());
-
   const auto di = interp.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
-  const auto dt = traced.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
   ASSERT_EQ(di.size(), msgs.size());
   for (usize i = 0; i < msgs.size(); ++i) {
     EXPECT_EQ(di[i],
               keccak::hash(keccak::Sha3Function::kSha3_256, msgs[i], 32));
-    EXPECT_EQ(dt[i], di[i]) << "message " << i;
+  }
+  for (const ExecBackend tier : kTraceBackedTiers) {
+    ParallelSha3 traced(config(tier));
+    const auto dt = traced.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
+    ASSERT_EQ(dt.size(), msgs.size());
+    for (usize i = 0; i < msgs.size(); ++i) {
+      EXPECT_EQ(dt[i], di[i])
+          << sim::backend_name(tier) << ", message " << i;
+    }
   }
 }
 
@@ -163,9 +180,9 @@ TEST(CompiledTrace, PermutationCyclesMatchPinnedPaperValues) {
   // (within 1% of the paper's 2564/1892/3620; see test_vector_keccak.cpp).
   const auto perm_cycles = [](Arch arch) {
     VectorKeccakConfig c{arch, 5, 24};
-    c.backend = ExecBackend::kCompiledTrace;
+    c.backend = ExecBackend::kHostSimd;
     VectorKeccak vk(c);
-    EXPECT_EQ(vk.active_backend(), ExecBackend::kCompiledTrace);
+    EXPECT_EQ(vk.active_backend(), ExecBackend::kHostSimd);
     std::vector<State> states(1);
     vk.permute(states);
     return vk.last_timing().permutation_cycles;
@@ -178,16 +195,20 @@ TEST(CompiledTrace, PermutationCyclesMatchPinnedPaperValues) {
 TEST(CompiledTrace, CacheCountsCompilesAndHits) {
   sim::TraceCache::global().clear();
   VectorKeccakConfig c{Arch::k64Lmul8, 15, 24};
-  c.backend = ExecBackend::kCompiledTrace;
+  c.backend = ExecBackend::kHostSimd;
   const auto program = VectorKeccak::build_program(c);
   VectorKeccak a(c, program);
   VectorKeccak b(c, program);  // same program + config: must hit the cache
-  EXPECT_EQ(a.active_backend(), ExecBackend::kCompiledTrace);
-  EXPECT_EQ(b.active_backend(), ExecBackend::kCompiledTrace);
+  EXPECT_EQ(a.active_backend(), ExecBackend::kHostSimd);
+  EXPECT_EQ(b.active_backend(), ExecBackend::kHostSimd);
   const sim::TraceCacheStats st = sim::TraceCache::global().stats();
+  // One recording, one fusion pass, one plan — each built exactly once.
   EXPECT_EQ(st.compiles, 1u);
+  EXPECT_EQ(st.fusions, 1u);
+  EXPECT_EQ(st.lowerings, 1u);
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.failures, 0u);
+  EXPECT_EQ(st.entries, 1u);
   EXPECT_GT(st.compile_ns, 0u);
 }
 
@@ -216,13 +237,16 @@ scratch:
 
   // Negative caching: the cache rejects it again without recompiling.
   sim::TraceCache::global().clear();
-  EXPECT_THROW((void)sim::TraceCache::global().get_or_compile(program, cfg, opts),
+  sim::TraceCache& cache = sim::TraceCache::global();
+  EXPECT_THROW((void)cache.get_or_compile_host_simd(program, cfg, opts),
                SimError);
-  EXPECT_THROW((void)sim::TraceCache::global().get_or_compile(program, cfg, opts),
+  EXPECT_THROW((void)cache.get_or_compile_host_simd(program, cfg, opts),
                SimError);
-  const sim::TraceCacheStats st = sim::TraceCache::global().stats();
+  const sim::TraceCacheStats st = cache.stats();
   EXPECT_EQ(st.failures, 1u);
   EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.lowerings, 0u);
+  EXPECT_EQ(st.entries, 0u);
 }
 
 TEST(CompiledTrace, EngineBatchesMatchAcrossBackends) {
@@ -235,7 +259,7 @@ TEST(CompiledTrace, EngineBatchesMatchAcrossBackends) {
   ci.threads = 2;
   ci.accel = {Arch::k64Lmul8, 15, 24};
   engine::EngineConfig ct = ci;
-  ct.accel.backend = ExecBackend::kCompiledTrace;
+  ct.accel.backend = ExecBackend::kHostSimd;
 
   const auto di = engine::run_batch(ci, jobs);
   const auto dt = engine::run_batch(ct, jobs);
@@ -245,7 +269,7 @@ TEST(CompiledTrace, EngineBatchesMatchAcrossBackends) {
 TEST(CompiledTrace, EngineStatsReportBackend) {
   std::vector<engine::HashJob> jobs{{engine::Algo::kSha3_256, {0x61, 0x62}}};
   for (const ExecBackend backend :
-       {ExecBackend::kInterpreter, ExecBackend::kCompiledTrace}) {
+       {ExecBackend::kInterpreter, ExecBackend::kHostSimd}) {
     engine::EngineConfig cfg;
     cfg.threads = 1;
     cfg.accel = {Arch::k64Lmul8, 15, 24};

@@ -310,12 +310,16 @@ TEST_P(FailSoftMatrixTest, InvalidJobAmongHundredFailsAlone) {
 INSTANTIATE_TEST_SUITE_P(
     BackendsByThreads, FailSoftMatrixTest,
     ::testing::Combine(::testing::Values(sim::ExecBackend::kInterpreter,
-                                         sim::ExecBackend::kCompiledTrace,
-                                         sim::ExecBackend::kFusedTrace),
+                                         sim::ExecBackend::kHostSimd,
+                                         sim::ExecBackend::kJit),
                        ::testing::Values(1u, 8u)),
     [](const auto& info) {
-      return std::string(sim::backend_name(std::get<0>(info.param))) + "_T" +
-             std::to_string(std::get<1>(info.param));
+      // gtest parameter names must be [A-Za-z0-9_]: "host-simd" → "host_simd".
+      std::string name(sim::backend_name(std::get<0>(info.param)));
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name + "_T" + std::to_string(std::get<1>(info.param));
     });
 
 TEST(Engine, LongXofSqueezeThroughEngine) {

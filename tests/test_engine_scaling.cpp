@@ -201,12 +201,12 @@ class ScalingSoakTest
   }
 
   /// Per-backend cell sizing: > 100k jobs over the 36-cell matrix, with the
-  /// fused backend (the production path) carrying the bulk and the
-  /// interpreter a sanity slice — total 12·(6000 + 2200 + 200) = 100 800.
+  /// jit (the production path) carrying the bulk and the interpreter a
+  /// sanity slice — total 12·(6000 + 2200 + 200) = 100 800.
   usize cell_jobs() const {
     switch (backend()) {
-      case sim::ExecBackend::kFusedTrace: return 6000;
-      case sim::ExecBackend::kCompiledTrace: return 2200;
+      case sim::ExecBackend::kJit: return 6000;
+      case sim::ExecBackend::kHostSimd: return 2200;
       case sim::ExecBackend::kInterpreter: return 200;
     }
     return 200;
@@ -245,14 +245,18 @@ TEST_P(ScalingSoakTest, ConcurrentBulkSubmitDrainSoak) {
 
 INSTANTIATE_TEST_SUITE_P(
     BackendThreadSnMatrix, ScalingSoakTest,
-    ::testing::Combine(::testing::Values(sim::ExecBackend::kFusedTrace,
-                                         sim::ExecBackend::kCompiledTrace,
+    ::testing::Combine(::testing::Values(sim::ExecBackend::kJit,
+                                         sim::ExecBackend::kHostSimd,
                                          sim::ExecBackend::kInterpreter),
                        ::testing::Values(1u, 2u, 4u, 8u),
                        ::testing::Values(1u, 3u, 6u)),
     [](const auto& info) {
-      return std::string(sim::backend_name(std::get<0>(info.param))) + "_t" +
-             std::to_string(std::get<1>(info.param)) + "_sn" +
+      // gtest parameter names must be [A-Za-z0-9_]: "host-simd" → "host_simd".
+      std::string name(sim::backend_name(std::get<0>(info.param)));
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name + "_t" + std::to_string(std::get<1>(info.param)) + "_sn" +
              std::to_string(std::get<2>(info.param));
     });
 

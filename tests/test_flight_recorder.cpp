@@ -25,15 +25,18 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kvx/common/error.hpp"
@@ -449,7 +452,7 @@ TEST(ChromeTrace, JitEngineExportsEveryCompileTierAndDispatch) {
   if (!jit_emits_on_this_host()) {
     GTEST_SKIP() << "jit backend cannot emit on this build/host";
   }
-  // A cold cache makes the engine's warm-up compile all four tiers.
+  // A cold cache makes the engine's warm-up run all four build stages.
   sim::TraceCache::global().clear();
   FlightRecorder& fr = FlightRecorder::global();
   const u64 start = fr.record(FlightEventType::kJobSubmit, 0, kTag, 0);
@@ -472,8 +475,8 @@ TEST(ChromeTrace, JitEngineExportsEveryCompileTierAndDispatch) {
   for (const FlightEvent& e : fr.snapshot_merged()) {
     if (e.seq > start) window.push_back(e);
   }
-  // Artifact codes follow the cache's compile order: the jit lookup lowers,
-  // which fuses, which compiles — each records on completion.
+  // Build-stage codes follow the cache's build order on a cold jit lookup:
+  // record, fuse, lower, emit — each records on completion.
   std::vector<std::string_view> tiers;
   usize dispatches = 0;
   for (const FlightEvent& e : window) {
@@ -503,19 +506,21 @@ TEST(ChromeTrace, JitEngineExportsEveryCompileTierAndDispatch) {
 TEST(FlightDecoders, AgreeWithSimulatorNames) {
   using sim::ExecBackend;
   for (const ExecBackend b :
-       {ExecBackend::kInterpreter, ExecBackend::kCompiledTrace,
-        ExecBackend::kFusedTrace, ExecBackend::kHostSimd, ExecBackend::kJit}) {
+       {ExecBackend::kInterpreter, ExecBackend::kHostSimd, ExecBackend::kJit}) {
     EXPECT_EQ(obs::backend_tier_name(static_cast<u16>(b)),
               sim::backend_name(b));
   }
+  // Codes 1 and 2 are unassigned; the others are never renumbered.
+  for (const u16 gone : {u16{1}, u16{2}}) {
+    EXPECT_EQ(obs::backend_tier_name(gone), "?");
+  }
   EXPECT_EQ(obs::backend_tier_name(static_cast<u16>(ExecBackend::kJit) + 1),
             "?");
-  // Artifact tier t is the artifact the backend one above the interpreter
-  // runs: 0 trace, 1 fused, 2 host-simd, 3 jit.
-  for (u16 t = 0; t < 4; ++t) {
-    EXPECT_EQ(obs::artifact_tier_name(t),
-              sim::backend_name(static_cast<ExecBackend>(t + 1)));
-  }
+  // Build stages are named by the artifact each produces.
+  EXPECT_EQ(obs::artifact_tier_name(0), "trace");
+  EXPECT_EQ(obs::artifact_tier_name(1), "fused");
+  EXPECT_EQ(obs::artifact_tier_name(2), "host-simd");
+  EXPECT_EQ(obs::artifact_tier_name(3), "jit");
   EXPECT_EQ(obs::artifact_tier_name(4), "?");
   EXPECT_EQ(obs::fault_kind_name(
                 static_cast<u16>(sim::FaultKind::kRegfileBitFlip)),
@@ -603,6 +608,85 @@ TEST(Postmortem, DumpNowRoundTripsThroughParse) {
   }
   EXPECT_TRUE(mirror_found);
   std::remove(path.c_str());
+}
+
+/// Every *.kvxdump file inside `dir`.
+std::vector<std::string> list_dumps(const std::string& dir) {
+  std::vector<std::string> dumps;
+  std::FILE* ls = ::popen(("ls " + dir).c_str(), "r");
+  if (ls == nullptr) return dumps;
+  char name[512];
+  while (std::fscanf(ls, "%511s", name) == 1) {
+    const std::string_view n(name);
+    if (n.size() > 8 && n.substr(n.size() - 8) == ".kvxdump") {
+      dumps.push_back(dir + "/" + name);
+    }
+  }
+  ::pclose(ls);
+  return dumps;
+}
+
+TEST(Postmortem, FaultedJitEngineAutoDumpPassesDoctorCheck) {
+  // Sim faults at every dispatch walk a jit engine down the whole chain:
+  // jit -> host-simd -> interpreter, where the job fails. The auto dumps
+  // that provokes must pass kvx-doctor --check, and their demotion events
+  // must decode as exactly those two steps (on a host that cannot emit,
+  // the first step happens at construction instead).
+  const std::string dir = fresh_dump_dir("faulted_jit");
+  for (const std::string& stale : list_dumps(dir)) std::remove(stale.c_str());
+  obs::pm::set_dump_dir(dir);
+  {
+    engine::EngineConfig cfg;
+    cfg.threads = 1;
+    cfg.accel = {core::Arch::k64Lmul8, 15, 24};
+    cfg.accel.backend = sim::ExecBackend::kJit;
+    sim::FaultPlan plan;
+    plan.rate = 1.0;
+    plan.kinds = static_cast<u32>(sim::FaultKind::kSimFault);
+    cfg.accel.fault_injector = std::make_shared<sim::FaultInjector>(plan);
+    engine::BatchHashEngine engine(cfg);
+    std::vector<engine::HashJob> jobs(2);
+    for (engine::HashJob& job : jobs) {
+      job.algo = engine::Algo::kSha3_256;
+      job.message.assign(40, 0x5A);
+    }
+    engine.submit_all(jobs);
+    for (const auto& r : engine.drain_results()) EXPECT_FALSE(r.ok());
+  }
+  obs::pm::set_auto_dump(false);
+
+  const std::vector<std::string> dumps = list_dumps(dir);
+  ASSERT_FALSE(dumps.empty()) << "no auto dump in " << dir;
+  std::vector<std::pair<std::string_view, std::string_view>> steps;
+  for (const std::string& path : dumps) {
+    const obs::pm::PostmortemDump dump = obs::pm::parse_dump(path);
+    for (const FlightEvent& e : dump.events) {
+      if (e.type() != FlightEventType::kBackendDemotion) continue;
+      const auto from = static_cast<u16>(e.code >> 8);
+      const auto to = static_cast<u16>(e.code & 0xFF);
+      const std::pair step{obs::backend_tier_name(from),
+                           obs::backend_tier_name(to)};
+      if (std::find(steps.begin(), steps.end(), step) == steps.end()) {
+        steps.push_back(step);
+      }
+    }
+#ifdef KVX_DOCTOR_PATH
+    const std::string cmd = std::string(KVX_DOCTOR_PATH) + " --check " +
+                            path + " > /dev/null";
+    EXPECT_EQ(std::system(cmd.c_str()), 0) << "kvx-doctor --check " << path;
+#endif
+    std::remove(path.c_str());
+  }
+  using Step = std::pair<std::string_view, std::string_view>;
+  EXPECT_NE(std::find(steps.begin(), steps.end(), Step{"jit", "host-simd"}),
+            steps.end());
+  EXPECT_NE(std::find(steps.begin(), steps.end(),
+                      Step{"host-simd", "interpreter"}),
+            steps.end());
+  for (const Step& step : steps) {
+    EXPECT_NE(step.first, "?");
+    EXPECT_NE(step.second, "?");
+  }
 }
 
 TEST(Postmortem, ParseRejectsGarbage) {

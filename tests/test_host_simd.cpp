@@ -1,13 +1,13 @@
-// Tests of the host-SIMD execution backend (tier zero): the packed-state
-// transpose (plain and lo/hi split) must round-trip arbitrary regfile
-// contents (including ragged final groups), lowered execution must be
-// bit-identical to the fused backend / interpreter / golden model across
-// all paper configurations — the 32-bit split arch included — and on every
-// host ISA compiled in, every round of a paper plan (the final one
-// included) must run in one lowered segment, cycle reporting must pass the
-// pinned paper values through untouched, the trace cache must key
-// lowerings separately, and the engine must report the host-simd tier and
-// dispatch ISA.
+// Tests of the host-SIMD execution backend: the packed-state transpose
+// (plain and lo/hi split) must round-trip arbitrary regfile contents
+// (including ragged final groups), plan execution must be bit-identical to
+// a full replay / the interpreter / the golden model across all paper
+// configurations — the 32-bit split arch included — and on every host ISA
+// compiled in, every round of a paper plan (the final one included) must
+// run in one lowered segment, a trace with nothing to lower (pure RVV) must
+// run as an all-replay plan, cycle reporting must pass the pinned paper
+// values through untouched, the trace cache must serve one plan per
+// program, and the engine must report the host-simd tier and dispatch ISA.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -214,7 +214,7 @@ TEST(HostSimdPack, RaggedFinalGroupDropsPadLanes) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: host-simd vs the other three backends.
+// Differential: host-simd vs full replay, the interpreter and the jit.
 // ---------------------------------------------------------------------------
 
 class HostSimdDifferential
@@ -256,10 +256,11 @@ TEST_P(HostSimdDifferential, PermuteMatchesInterpreterBitExactly) {
   }
 }
 
-TEST_P(HostSimdDifferential, RegisterFileBitIdenticalToFused) {
+TEST_P(HostSimdDifferential, RegisterFileBitIdenticalToFullReplay) {
   // The lowered plan materializes exactly the last-writer values back to
   // the regfile, so the post-execute register file and data memory must be
-  // byte-identical to the fused tier's (and hence the interpreter's).
+  // byte-identical to a replay of every recorded record (and hence the
+  // interpreter's).
   const VectorKeccakConfig cfg = config(ExecBackend::kInterpreter);
   const auto program = VectorKeccak::build_program(cfg);
 
@@ -282,7 +283,8 @@ TEST_P(HostSimdDifferential, RegisterFileBitIdenticalToFused) {
   pf.dmem().write_block(opts.verify_base, state_data);
   ph.dmem().write_block(opts.verify_base, state_data);
 
-  fused->execute(pf.vector(), pf.dmem(), pf.config().cycle_model);
+  hs->base().replay(0, hs->base().op_count(), pf.vector(), pf.dmem(),
+                    pf.config().cycle_model);
   hs->execute(ph.vector(), ph.dmem(), ph.config().cycle_model);
 
   for (unsigned r = 0; r < 32; ++r) {
@@ -294,27 +296,24 @@ TEST_P(HostSimdDifferential, RegisterFileBitIdenticalToFused) {
   pf.dmem().read_block(0, mf);
   ph.dmem().read_block(0, mh);
   EXPECT_EQ(mh, mf);
-  EXPECT_EQ(hs->total_cycles(), fused->total_cycles());
+  EXPECT_EQ(hs->total_cycles(), hs->base().total_cycles());
 }
 
-TEST_P(HostSimdDifferential, Sha3DigestsMatchAcrossAllFourBackends) {
+TEST_P(HostSimdDifferential, Sha3DigestsMatchAcrossAllThreeBackends) {
   ParallelSha3 interp(config(ExecBackend::kInterpreter));
-  ParallelSha3 traced(config(ExecBackend::kCompiledTrace));
-  ParallelSha3 fused(config(ExecBackend::kFusedTrace));
   ParallelSha3 hs(config(ExecBackend::kHostSimd));
+  ParallelSha3 jit(config(ExecBackend::kJit));
   const auto msgs = random_messages(4 * sn() + 1, 0xF00D + sn());
 
   const auto di = interp.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
-  const auto dt = traced.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
-  const auto df = fused.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
   const auto dh = hs.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
+  const auto dj = jit.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
   ASSERT_EQ(di.size(), msgs.size());
   for (usize i = 0; i < msgs.size(); ++i) {
     EXPECT_EQ(di[i],
               keccak::hash(keccak::Sha3Function::kSha3_256, msgs[i], 32));
-    EXPECT_EQ(dt[i], di[i]) << "trace, message " << i;
-    EXPECT_EQ(df[i], di[i]) << "fused, message " << i;
     EXPECT_EQ(dh[i], di[i]) << "host-simd, message " << i;
+    EXPECT_EQ(dj[i], di[i]) << "jit, message " << i;
   }
 }
 
@@ -347,17 +346,16 @@ TEST_P(HostSimdDifferential, EveryCompiledIsaProducesIdenticalResults) {
 }
 
 TEST_P(HostSimdDifferential, EveryTierLeavesTheInterpretersMachineState) {
-  // One random staged state through the interpreter and through the trace,
-  // fused and host-simd tiers: register file, data memory, final scalar
-  // registers and cycles must all be the interpreter's.
+  // One random staged state through the interpreter and through the
+  // host-simd and (where it emits) jit tiers: register file, data memory,
+  // final scalar registers and cycles must all be the interpreter's.
   const VectorKeccakConfig cfg = config(ExecBackend::kInterpreter);
   const auto program = VectorKeccak::build_program(cfg);
   sim::TraceCompileOptions opts;
   opts.verify_base = program->image.symbol("state");
   opts.verify_len = usize{5} * cfg.ele_num * 8;
-  const auto trace = sim::compile_trace(program->image, proc_config(cfg), opts);
-  const auto fused = sim::fuse_trace(trace);
-  const auto hs = sim::lower_host_simd(fused);
+  const auto hs = sim::lower_host_simd(sim::fuse_trace(
+      sim::compile_trace(program->image, proc_config(cfg), opts)));
 
   SplitMix64 rng(0x7135 + sn());
   std::vector<u8> state_data(opts.verify_len);
@@ -391,9 +389,12 @@ TEST_P(HostSimdDifferential, EveryTierLeavesTheInterpretersMachineState) {
               interp->cycles_between(Markers::kPermStart, Markers::kPermEnd))
         << tier;
   };
-  check("trace", *trace);
-  check("fused", *fused);
   check("host-simd", *hs);
+  const HostSimdIsa isa = sim::host_simd_dispatch_isa(hs->sn());
+  if (sim::jit_supported() &&
+      (isa == HostSimdIsa::kAvx2 || isa == HostSimdIsa::kAvx512)) {
+    check("jit", *sim::lower_jit(hs));
+  }
   if (arch() == Arch::k32Lmul8) {
     EXPECT_EQ(hs->cycles_between(Markers::kPermStart, Markers::kPermEnd),
               3646u);
@@ -407,6 +408,10 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(Arch::k64Fused, 3u),
                       std::make_tuple(Arch::k64Lmul8, 6u),
                       std::make_tuple(Arch::k64Lmul8, 8u),
+                      // The fused-ISE variant at every other plan SN.
+                      std::make_tuple(Arch::k64Fused, 1u),
+                      std::make_tuple(Arch::k64Fused, 6u),
+                      std::make_tuple(Arch::k64Fused, 8u),
                       // The 32-bit split halves: scalar at SN=1, ragged
                       // pack groups at SN=3/6, a full AVX-512 group at 8.
                       std::make_tuple(Arch::k32Lmul8, 1u),
@@ -450,19 +455,17 @@ bool is_step_record(sim::TraceOpKind k) {
 
 /// A paper plan runs every round natively: the state load replay, ONE
 /// segment of 24 × 3 kernels, the state store replay — and the two replay
-/// ranges, the only items the fused tier executes, hold no step record.
+/// ranges hold no step record.
 void expect_every_round_native(const sim::HostSimdTrace& hs) {
   const auto& items = hs.items();
   ASSERT_EQ(items.size(), 3u);
   EXPECT_EQ(hs.segment_count(), 1u);
   EXPECT_EQ(items[1].kernel_count, 72u);
-  const sim::FusedTrace& fused = hs.fused();
   for (const usize i : {usize{0}, usize{2}}) {
     ASSERT_EQ(items[i].kernel_count, 0u) << "item " << i;
-    const sim::FusedOp& f = fused.fused_ops()[items[i].fused_index];
-    ASSERT_EQ(f.kind, sim::FusedOpKind::kReplayRange) << "item " << i;
-    for (u32 r = f.first; r < f.first + f.count; ++r) {
-      EXPECT_FALSE(is_step_record(fused.base().ops()[r].kind))
+    ASSERT_GT(items[i].count, 0u) << "item " << i;
+    for (u32 r = items[i].first; r < items[i].first + items[i].count; ++r) {
+      EXPECT_FALSE(is_step_record(hs.base().ops()[r].kind))
           << "record " << r << " replays in item " << i;
     }
   }
@@ -534,29 +537,78 @@ TEST(HostSimd, SplitArchLowersWithCorrectDigests) {
   for (usize i = 0; i < states.size(); ++i) EXPECT_EQ(states[i], golden[i]);
 }
 
-TEST(HostSimd, UnlowerableProgramDemotesToFusedWithCorrectDigests) {
-  // The pure-RVV ablation has no θ/ρπ/χ super-kernels at all, so lowering
-  // throws and construction demotes once, to fused.
-  VectorKeccakConfig c{Arch::k64PureRvv, 15, 24};
-  c.backend = ExecBackend::kHostSimd;
-  VectorKeccak vk(c);
-  EXPECT_EQ(vk.active_backend(), ExecBackend::kFusedTrace);
-  EXPECT_EQ(vk.backend_fallbacks(), 1u);
-  EXPECT_EQ(vk.host_simd_coverage(), 0.0);
-  ASSERT_EQ(vk.construction_attempts().size(), 1u);
-  EXPECT_EQ(vk.construction_attempts()[0].tier, ExecBackend::kHostSimd);
-
-  auto states = random_states(3, 0x5EED);
-  auto golden = states;
-  vk.permute(states);
-  for (State& s : golden) keccak::permute(s);
-  for (usize i = 0; i < states.size(); ++i) EXPECT_EQ(states[i], golden[i]);
+TEST(HostSimd, PureRvvLandsOnHostSimdAtInterpreterState) {
+  // The pure-RVV ablation has no θ/ρπ/χ super-kernels to lower. Asked for
+  // at jit or host-simd, it lands on host-simd as an all-replay plan (the
+  // jit has nothing to emit and demotes once), and the register file, data
+  // memory and cycles are the interpreter's.
+  for (const unsigned sn : {1u, 3u, 6u, 8u}) {
+    VectorKeccakConfig ci{Arch::k64PureRvv, 5 * sn, 24};
+    VectorKeccak interp(ci);
+    auto want = random_states(sn, 0x5EED + sn);
+    interp.permute(want);
+    for (const ExecBackend asked :
+         {ExecBackend::kHostSimd, ExecBackend::kJit}) {
+      SCOPED_TRACE("SN=" + std::to_string(sn) + " asked " +
+                   std::string(sim::backend_name(asked)));
+      VectorKeccakConfig c = ci;
+      c.backend = asked;
+      VectorKeccak vk(c);
+      EXPECT_EQ(vk.active_backend(), ExecBackend::kHostSimd);
+      EXPECT_EQ(vk.backend_fallbacks(), asked == ExecBackend::kJit ? 1u : 0u);
+      EXPECT_EQ(vk.host_simd_coverage(), 0.0);
+      auto got = random_states(sn, 0x5EED + sn);
+      vk.permute(got);
+      EXPECT_EQ(vk.last_backend(), ExecBackend::kHostSimd);
+      EXPECT_EQ(got, want);
+      const sim::SimdProcessor& pi = interp.processor();
+      const sim::SimdProcessor& ph = vk.processor();
+      for (unsigned r = 0; r < 32; ++r) {
+        EXPECT_EQ(ph.vector().get_register(r), pi.vector().get_register(r))
+            << "v" << r;
+      }
+      std::vector<u8> mi(pi.dmem().size());
+      std::vector<u8> mh(ph.dmem().size());
+      pi.dmem().read_block(0, mi);
+      ph.dmem().read_block(0, mh);
+      EXPECT_EQ(mh, mi);
+      EXPECT_EQ(vk.last_timing().total_cycles,
+                interp.last_timing().total_cycles);
+      EXPECT_EQ(vk.last_timing().permutation_cycles,
+                interp.last_timing().permutation_cycles);
+      EXPECT_EQ(vk.last_timing().instructions,
+                interp.last_timing().instructions);
+    }
+  }
 }
 
-TEST(HostSimd, TraceCacheKeysLoweringsSeparately) {
-  // A host-simd compilation and a fused compilation of the same program
-  // must coexist in the cache: the lowering is a distinct artifact keyed by
-  // its own salt, sharing the fused artifact underneath.
+TEST(HostSimd, NothingToLowerBuildsAnAllReplayPlan) {
+  // Lowering a trace without super-kernel runs returns a plan of one
+  // replay range over every record instead of throwing; the jit refuses
+  // it (nothing to emit), which is what demotes jit to host-simd.
+  const VectorKeccakConfig cfg{Arch::k64PureRvv, 15, 24};
+  const auto program = VectorKeccak::build_program(cfg);
+  sim::TraceCompileOptions opts;
+  opts.verify_base = program->image.symbol("state");
+  opts.verify_len = usize{5} * cfg.ele_num * 8;
+  const auto trace =
+      sim::compile_trace(program->image, proc_config(cfg), opts);
+  const auto hs = sim::lower_host_simd(sim::fuse_trace(trace));
+  EXPECT_EQ(hs->segment_count(), 0u);
+  EXPECT_EQ(hs->lowered_kernel_count(), 0u);
+  EXPECT_EQ(hs->sn(), 0u);
+  EXPECT_EQ(hs->lowered_coverage(), 0.0);
+  ASSERT_EQ(hs->items().size(), 1u);
+  EXPECT_EQ(hs->items()[0].kernel_count, 0u);
+  EXPECT_EQ(hs->items()[0].first, 0u);
+  EXPECT_EQ(hs->items()[0].count, trace->op_count());
+  EXPECT_THROW((void)sim::lower_jit(hs), SimError);
+}
+
+TEST(HostSimd, TraceCacheServesOnePlanPerProgram) {
+  // The cache builds one plan per program and configuration; the plan owns
+  // its fused trace and the recording under it.
+  sim::TraceCache::global().clear();
   VectorKeccakConfig c{Arch::k64Lmul8, 15, 24};
   const auto program = VectorKeccak::build_program(c);
   sim::TraceCompileOptions opts;
@@ -565,17 +617,64 @@ TEST(HostSimd, TraceCacheKeysLoweringsSeparately) {
 
   const auto hs = sim::TraceCache::global().get_or_compile_host_simd(
       program->image, proc_config(c), opts);
-  const auto fused = sim::TraceCache::global().get_or_compile_fused(
-      program->image, proc_config(c), opts);
   ASSERT_NE(hs, nullptr);
-  ASSERT_NE(fused, nullptr);
-  // The lowering wraps the SAME fused artifact the fused tier hands out.
-  EXPECT_EQ(hs->shared_fused().get(), fused.get());
+  EXPECT_EQ(&hs->fused().base(), &hs->base());
+  EXPECT_GT(hs->base().op_count(), 0u);
 
   // Second lookup hits, returning the identical plan.
   const auto hs2 = sim::TraceCache::global().get_or_compile_host_simd(
       program->image, proc_config(c), opts);
   EXPECT_EQ(hs2.get(), hs.get());
+  const sim::TraceCacheStats st = sim::TraceCache::global().stats();
+  EXPECT_EQ(st.lowerings, 1u);
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.entries, 1u);
+  EXPECT_GE(st.resident_bytes,
+            hs->base().memory_bytes() + hs->fused().memory_bytes() +
+                hs->memory_bytes());
+}
+
+TEST(HostSimd, TraceCacheKeysLoweringsSeparately) {
+  // A host-simd plan and a jit emission of the same program coexist in the
+  // cache: the emission is a distinct artifact keyed by its own salt, and
+  // it wraps the SAME plan the host-simd tier hands out. Where nothing can
+  // be emitted, the failed emission leaves the cached plan untouched.
+  sim::TraceCache::global().clear();
+  VectorKeccakConfig c{Arch::k64Lmul8, 15, 24};
+  const auto program = VectorKeccak::build_program(c);
+  sim::TraceCompileOptions opts;
+  opts.verify_base = program->image.symbol("state");
+  opts.verify_len = usize{5} * c.ele_num * 8;
+  sim::TraceCache& cache = sim::TraceCache::global();
+
+  const auto hs =
+      cache.get_or_compile_host_simd(program->image, proc_config(c), opts);
+  ASSERT_NE(hs, nullptr);
+  const HostSimdIsa isa = sim::host_simd_dispatch_isa(hs->sn());
+  if (sim::jit_supported() &&
+      (isa == HostSimdIsa::kAvx2 || isa == HostSimdIsa::kAvx512)) {
+    const auto jit =
+        cache.get_or_compile_jit(program->image, proc_config(c), opts);
+    ASSERT_NE(jit, nullptr);
+    EXPECT_EQ(jit->shared_host_simd().get(), hs.get());
+    const auto jit2 =
+        cache.get_or_compile_jit(program->image, proc_config(c), opts);
+    EXPECT_EQ(jit2.get(), jit.get());
+    const sim::TraceCacheStats st = cache.stats();
+    EXPECT_EQ(st.jit_compiles, 1u);
+    EXPECT_EQ(st.entries, 2u);
+  } else {
+    EXPECT_THROW(
+        (void)cache.get_or_compile_jit(program->image, proc_config(c), opts),
+        SimError);
+    EXPECT_EQ(cache.stats().jit_compiles, 0u);
+  }
+  EXPECT_EQ(cache.stats().compiles, 1u);
+  EXPECT_EQ(cache.stats().lowerings, 1u);
+  EXPECT_EQ(
+      cache.get_or_compile_host_simd(program->image, proc_config(c), opts)
+          .get(),
+      hs.get());
 }
 
 TEST(HostSimd, AutomaticDispatchNarrowsToSnSizedPackWidth) {

@@ -1,9 +1,9 @@
-// Tests of the trace-to-native JIT backend (tier zero of five): emitted
+// Tests of the trace-to-native JIT backend (tier zero of three): emitted
 // machine code must be bit-identical to every tier below it (digests,
 // register file, data memory) across all paper configurations — the 32-bit
 // split arch included — and every emitted ISA, cycle reporting must pass
 // the pinned paper values through untouched, unsupported hosts/ISA
-// resolutions/unlowerable programs must demote cleanly down the chain, the
+// resolutions/unlowerable programs must demote cleanly to host-simd, the
 // trace cache must key emissions per ISA while sharing one host-SIMD plan
 // (and export occupancy gauges), the engine must report the jit tier, and
 // — the disassembly self-check — every emitted byte sequence must decode
@@ -97,7 +97,7 @@ std::vector<HostSimdIsa> emittable_isas() {
   } while (0)
 
 // ---------------------------------------------------------------------------
-// Differential: jit vs the four tiers below it.
+// Differential: jit vs the two tiers below it.
 // ---------------------------------------------------------------------------
 
 class JitDifferential
@@ -152,28 +152,22 @@ TEST_P(JitDifferential, PermuteMatchesInterpreterOnEveryEmittedIsa) {
   }
 }
 
-TEST_P(JitDifferential, Sha3DigestsMatchAcrossAllFiveBackends) {
+TEST_P(JitDifferential, Sha3DigestsMatchAcrossAllThreeBackends) {
   // Automatic dispatch, no pins: where the resolution is scalar/portable
   // (e.g. SN=1 auto-narrowing) the jit accelerator demotes to host-simd —
   // digests must match the golden model either way.
   ParallelSha3 interp(config(ExecBackend::kInterpreter));
-  ParallelSha3 traced(config(ExecBackend::kCompiledTrace));
-  ParallelSha3 fused(config(ExecBackend::kFusedTrace));
   ParallelSha3 hs(config(ExecBackend::kHostSimd));
   ParallelSha3 jit(config(ExecBackend::kJit));
   const auto msgs = random_messages(4 * sn() + 1, 0xBEEF + sn());
 
   const auto di = interp.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
-  const auto dt = traced.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
-  const auto df = fused.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
   const auto dh = hs.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
   const auto dj = jit.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
   ASSERT_EQ(di.size(), msgs.size());
   for (usize i = 0; i < msgs.size(); ++i) {
     EXPECT_EQ(di[i],
               keccak::hash(keccak::Sha3Function::kSha3_256, msgs[i], 32));
-    EXPECT_EQ(dt[i], di[i]) << "trace, message " << i;
-    EXPECT_EQ(df[i], di[i]) << "fused, message " << i;
     EXPECT_EQ(dh[i], di[i]) << "host-simd, message " << i;
     EXPECT_EQ(dj[i], di[i]) << "jit, message " << i;
   }
@@ -181,9 +175,9 @@ TEST_P(JitDifferential, Sha3DigestsMatchAcrossAllFiveBackends) {
 
 TEST_P(JitDifferential, RegisterFileAndMemoryBitIdenticalToHostSimd) {
   // The emitted function materializes exactly the last-writer values the
-  // plan materializes, and the fallback shim replays the same unlowered
-  // items — so the post-execute register file and data memory must be
-  // byte-identical to the host-SIMD tier's (and hence every tier below).
+  // plan materializes, and the replay shim replays the same record ranges
+  // — so the post-execute register file and data memory must be
+  // byte-identical to the host-SIMD tier's (and hence the interpreter's).
   KVX_REQUIRE_JIT_HOST();
   IsaGuard guard;
   sim::host_simd_force_isa(emittable_isas().front());
@@ -288,15 +282,15 @@ TEST(Jit, SplitArchEmitsNativeCodeWithCorrectDigests) {
   for (usize i = 0; i < states.size(); ++i) EXPECT_EQ(states[i], golden[i]);
 }
 
-TEST(Jit, UnlowerableProgramDemotesToFusedWithCorrectDigests) {
-  // The pure-RVV ablation has no super-kernels to lower: jit → host-simd
-  // (the plan under the jit throws) and host-simd → fused, two counted
-  // construction demotions on every host.
+TEST(Jit, UnlowerableProgramDemotesToHostSimdWithCorrectDigests) {
+  // The pure-RVV ablation has no super-kernels to lower: its host-SIMD plan
+  // is all replay, the jit has nothing to emit, and construction demotes
+  // once, to host-simd, on every host.
   VectorKeccakConfig c{Arch::k64PureRvv, 15, 24};
   c.backend = ExecBackend::kJit;
   VectorKeccak vk(c);
-  EXPECT_EQ(vk.active_backend(), ExecBackend::kFusedTrace);
-  EXPECT_EQ(vk.backend_fallbacks(), 2u);
+  EXPECT_EQ(vk.active_backend(), ExecBackend::kHostSimd);
+  EXPECT_EQ(vk.backend_fallbacks(), 1u);
   EXPECT_EQ(vk.jit_code_bytes(), 0u);
   EXPECT_FALSE(vk.jit_isa().has_value());
 
@@ -445,9 +439,9 @@ TEST(JitCache, KeysEmissionsPerIsaSharingOneHostSimdPlan) {
 
 TEST(JitCache, OccupancyGaugesTrackResidentArtifacts) {
   // kvx_trace_cache_entries / kvx_trace_cache_bytes must follow the cache
-  // exactly: one artifact per tier after a jit compile (each counted once),
-  // resident bytes covering the page-rounded W^X buffer, and both snapping
-  // back to zero on clear().
+  // exactly: one host-SIMD plan plus one emission after a jit compile,
+  // resident bytes covering the recording, fused trace, plan and
+  // page-rounded W^X buffer, and both snapping back to zero on clear().
   IsaGuard guard;
   auto& cache = sim::TraceCache::global();
   auto& registry = obs::MetricsRegistry::global();
@@ -463,13 +457,13 @@ TEST(JitCache, OccupancyGaugesTrackResidentArtifacts) {
   VectorKeccakConfig c{Arch::k64Lmul8, 15, 24};
   const auto program = VectorKeccak::build_program(c);
   const auto opts = verify_opts(*program, c);
-  u64 want_entries = 3;  // trace + fused + host-simd plan
+  u64 want_entries = 1;  // the host-simd plan (owning trace + fused)
   u64 jit_bytes = 0;
   if (sim::jit_supported() && !emittable_isas().empty()) {
     sim::host_simd_force_isa(emittable_isas().front());
     const auto jit =
         cache.get_or_compile_jit(program->image, proc_config(c), opts);
-    want_entries = 4;  // + the native emission
+    want_entries = 2;  // + the native emission
     jit_bytes = jit->memory_bytes();
     EXPECT_GE(jit->memory_bytes(), jit->code_size());
   } else {
@@ -479,9 +473,11 @@ TEST(JitCache, OccupancyGaugesTrackResidentArtifacts) {
 
   const sim::TraceCacheStats st = cache.stats();
   EXPECT_EQ(st.entries, want_entries);
-  // Every resident artifact came from exactly one counted compilation.
-  EXPECT_EQ(st.compiles + st.fusions + st.lowerings + st.jit_compiles,
-            st.entries);
+  // Every resident artifact came from exactly one counted build: one
+  // recording and one fusion pass per plan.
+  EXPECT_EQ(st.lowerings + st.jit_compiles, st.entries);
+  EXPECT_EQ(st.compiles, st.lowerings);
+  EXPECT_EQ(st.fusions, st.lowerings);
   EXPECT_GT(st.resident_bytes, jit_bytes);
   EXPECT_DOUBLE_EQ(entries_g.value(), static_cast<double>(st.entries));
   EXPECT_DOUBLE_EQ(bytes_g.value(), static_cast<double>(st.resident_bytes));

@@ -222,8 +222,8 @@ TEST_P(AttributionArchTest, ExactSumAndBackendIdentical) {
 
   obs::StepCycleStats per_backend[3];
   const sim::ExecBackend backends[] = {sim::ExecBackend::kInterpreter,
-                                       sim::ExecBackend::kCompiledTrace,
-                                       sim::ExecBackend::kFusedTrace};
+                                       sim::ExecBackend::kHostSimd,
+                                       sim::ExecBackend::kJit};
   for (usize b = 0; b < 3; ++b) {
     VectorKeccakConfig cfg{arch, 5, 24};
     cfg.backend = backends[b];

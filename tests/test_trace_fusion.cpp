@@ -1,15 +1,13 @@
-// Differential tests of the fused-trace execution backend: super-kernel
-// replays must be bit-identical to the interpreter and the plain compiled
-// trace — digests, full vector register file, data memory and cycle counts
-// — across all paper configurations, with a random register file checked
-// through the fused, host-SIMD and jit tiers alike; the 32-bit round must
-// fuse to three kernels (θ32, ρπ32, split χι) in every round, the final
-// one included; scratch without a recipe must still demote to per-record
-// replay when it is live-out; constant-stride gathers/scatters must
-// compile to strided records that match per-element access; unrecognizable
-// programs must fall back to per-record replay; and the trace cache must
-// key compilations by backend so a "trace" shard never observes a fused
-// artifact.
+// Tests of the fusion matcher, run through the host-SIMD plan and the jit
+// against the interpreter: digests, full vector register file, data memory
+// and cycle counts must be bit-identical across the paper configurations
+// plus the fused-ISE variant, with a random register file checked on every
+// host-SIMD ISA and jit emission; the 32-bit round must fuse to three
+// kernels (θ32, ρπ32, split χι) in every round, the final one included;
+// scratch without a recipe must still demote to per-record replay when it
+// is live-out; constant-stride gathers/scatters must compile to strided
+// records that match per-element access; and unrecognizable programs must
+// become one replay range.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,41 +83,41 @@ class FusionDifferential
 
 TEST_P(FusionDifferential, PermuteMatchesInterpreterBitExactly) {
   VectorKeccak interp(config(ExecBackend::kInterpreter));
-  VectorKeccak fused(config(ExecBackend::kFusedTrace));
-  ASSERT_EQ(fused.active_backend(), ExecBackend::kFusedTrace)
-      << "fused compilation unexpectedly fell back";
+  VectorKeccak hs(config(ExecBackend::kHostSimd));
+  ASSERT_EQ(hs.active_backend(), ExecBackend::kHostSimd)
+      << "host-simd compilation unexpectedly fell back";
   // The Keccak programs must actually fuse — the permutation loop is
   // nothing but θ/ρπ/χι patterns, so well over half the records should be
   // covered by super-kernels.
-  EXPECT_GT(fused.fusion_coverage(), 0.5) << arch_name(arch());
+  EXPECT_GT(hs.fusion_coverage(), 0.5) << arch_name(arch());
 
   for (const u64 seed : {7u, 77u, 7777u}) {
     auto a = random_states(sn(), seed);
     auto b = a;
     auto golden = a;
     interp.permute(a);
-    fused.permute(b);
+    hs.permute(b);
     for (State& s : golden) keccak::permute(s);
     for (usize i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i], golden[i]) << "interpreter diverged from golden model";
       EXPECT_EQ(b[i], a[i]) << arch_name(arch()) << " state " << i;
     }
     // Timing passes through from the recorded interpreter run untouched.
-    EXPECT_EQ(fused.last_timing().total_cycles,
+    EXPECT_EQ(hs.last_timing().total_cycles,
               interp.last_timing().total_cycles);
-    EXPECT_EQ(fused.last_timing().permutation_cycles,
+    EXPECT_EQ(hs.last_timing().permutation_cycles,
               interp.last_timing().permutation_cycles);
-    EXPECT_EQ(fused.last_timing().instructions,
+    EXPECT_EQ(hs.last_timing().instructions,
               interp.last_timing().instructions);
   }
 }
 
 TEST_P(FusionDifferential, RandomizedRegisterFileSeedReplay) {
   // Seed machines with the same random register file and state data, run
-  // one through the interpreter and the others through the fused trace,
-  // the host-SIMD plan on every compiled ISA and the jit on every
-  // emittable ISA, and compare every vector register and all of data
-  // memory against the interpreter's. This is the strongest check on the
+  // one through the interpreter and the others through the host-SIMD plan
+  // on every compiled ISA and the jit on every emittable ISA, and compare
+  // every vector register and all of data memory against the
+  // interpreter's. This is the strongest check on the
   // liveness pass and the scratch recipes: an elided scratch write that
   // was actually live-out, or a live-out row written from a wrong recipe,
   // would surface as a register mismatch here.
@@ -167,7 +165,6 @@ TEST_P(FusionDifferential, RandomizedRegisterFileSeedReplay) {
     EXPECT_EQ(t.total_cycles(), interp->cycles()) << tier;
     EXPECT_EQ(t.instructions(), interp->stats().instructions) << tier;
   };
-  check("fused", *fused);
   IsaGuard guard;
   for (const HostSimdIsa isa :
        {HostSimdIsa::kScalar, HostSimdIsa::kPortable, HostSimdIsa::kAvx2,
@@ -185,19 +182,19 @@ TEST_P(FusionDifferential, RandomizedRegisterFileSeedReplay) {
 
 TEST_P(FusionDifferential, Sha3DigestsMatchAcrossAllThreeBackends) {
   ParallelSha3 interp(config(ExecBackend::kInterpreter));
-  ParallelSha3 traced(config(ExecBackend::kCompiledTrace));
-  ParallelSha3 fused(config(ExecBackend::kFusedTrace));
+  ParallelSha3 hs(config(ExecBackend::kHostSimd));
+  ParallelSha3 jit(config(ExecBackend::kJit));
   const auto msgs = random_messages(4 * sn() + 1, 0xFACE + sn());
 
   const auto di = interp.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
-  const auto dt = traced.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
-  const auto df = fused.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
+  const auto dh = hs.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
+  const auto dj = jit.hash_batch(keccak::Sha3Function::kSha3_256, msgs);
   ASSERT_EQ(di.size(), msgs.size());
   for (usize i = 0; i < msgs.size(); ++i) {
     EXPECT_EQ(di[i],
               keccak::hash(keccak::Sha3Function::kSha3_256, msgs[i], 32));
-    EXPECT_EQ(dt[i], di[i]) << "trace, message " << i;
-    EXPECT_EQ(df[i], di[i]) << "fused, message " << i;
+    EXPECT_EQ(dh[i], di[i]) << "host-simd, message " << i;
+    EXPECT_EQ(dj[i], di[i]) << "jit, message " << i;
   }
 }
 
@@ -212,13 +209,15 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(Arch::k64Lmul8, 6u)));
 
 TEST(TraceFusion, PermutationCyclesMatchPinnedPaperValues) {
-  // Cycle pass-through: the fused backend must report the same pinned
-  // paper-model cycle counts as the interpreter and the plain trace.
+  // Cycle pass-through: the fused plan, asked for at the top of the chain
+  // (jit where it emits, else its host-SIMD plan), must report the same
+  // pinned paper-model cycle counts as the interpreter.
   const auto perm_cycles = [](Arch arch) {
     VectorKeccakConfig c{arch, 5, 24};
-    c.backend = ExecBackend::kFusedTrace;
+    c.backend = ExecBackend::kJit;
     VectorKeccak vk(c);
-    EXPECT_EQ(vk.active_backend(), ExecBackend::kFusedTrace);
+    EXPECT_NE(vk.active_backend(), ExecBackend::kInterpreter);
+    EXPECT_GT(vk.fusion_coverage(), 0.5) << arch_name(arch);
     std::vector<State> states(1);
     vk.permute(states);
     return vk.last_timing().permutation_cycles;
@@ -232,8 +231,8 @@ TEST(TraceFusion, SplitChiIotaFusesToOneKernelPerRound) {
   // The 32-bit round is θ32, ρπ32 and ONE split χι: χ(lo) + χ(hi) + the
   // ι(lo)/ι(hi) pair, carrying the joined 64-bit round constant. The final
   // round's θ32 and χι have live-out scratch; they stay fused and write it
-  // back, with no fall-back to replay or to the χ halves. Execution must
-  // match the base trace's per-record replay byte for byte.
+  // back, with no fall-back to replay or to the χ halves. The host-SIMD
+  // plan must match the base trace's per-record replay byte for byte.
   const VectorKeccakConfig cfg{Arch::k32Lmul8, 15, 24};
   const auto program = VectorKeccak::build_program(cfg);
   sim::TraceCompileOptions opts;
@@ -278,8 +277,10 @@ TEST(TraceFusion, SplitChiIotaFusesToOneKernelPerRound) {
   for (u8& byte : state_data) byte = static_cast<u8>(rng.next());
   pt.dmem().write_block(opts.verify_base, state_data);
   pf.dmem().write_block(opts.verify_base, state_data);
-  base->execute(pt.vector(), pt.dmem(), pt.config().cycle_model);
-  fused->execute(pf.vector(), pf.dmem(), pf.config().cycle_model);
+  base->replay(0, base->op_count(), pt.vector(), pt.dmem(),
+               pt.config().cycle_model);
+  sim::lower_host_simd(fused)->execute(pf.vector(), pf.dmem(),
+                                       pf.config().cycle_model);
   for (unsigned r = 0; r < 32; ++r) {
     EXPECT_EQ(pf.vector().get_register(r), pt.vector().get_register(r))
         << "v" << r;
@@ -369,7 +370,8 @@ out2:
   pi.load_program(program);
   pt.load_program(program);
   pi.run();
-  trace->execute(pt.vector(), pt.dmem(), pt.config().cycle_model);
+  trace->replay(0, trace->op_count(), pt.vector(), pt.dmem(),
+                pt.config().cycle_model);
   for (unsigned r = 0; r < 32; ++r) {
     EXPECT_EQ(pt.vector().get_register(r), pi.vector().get_register(r))
         << "v" << r;
@@ -383,9 +385,10 @@ out2:
   // The span is checked again, as one span, against the memory a replay
   // is handed: one that ends inside the record's span rejects it.
   sim::Memory short_mem(first_strided->aux + 20);
-  EXPECT_THROW(trace->execute_op(*first_strided, pt.vector(), short_mem,
-                                 pt.config().cycle_model,
-                                 pt.vector().file_data()),
+  const auto strided_index =
+      static_cast<usize>(first_strided - trace->ops().data());
+  EXPECT_THROW(trace->replay(strided_index, 1, pt.vector(), short_mem,
+                             pt.config().cycle_model),
                SimError);
 }
 
@@ -413,8 +416,9 @@ TEST(TraceFusion, StridedMemoryTransfersCheckTheirSpanOnce) {
 
 TEST(TraceFusion, NonFusibleProgramFallsBackToPerRecordReplay) {
   // A hand-built program with none of the Keccak step patterns: the fusion
-  // pass must produce zero super-kernels (one big replay range) and the
-  // replay must still be bit-identical to the interpreter.
+  // pass must produce zero super-kernels (one big replay range), the
+  // host-SIMD plan one replay item, and running it must still be
+  // bit-identical to the interpreter.
   const auto program = assembler::assemble(R"(
     la a0, data
     vsetvli x0, x0, e64, m1, tu, mu
@@ -439,13 +443,17 @@ data:
   ASSERT_EQ(fused->fused_ops().size(), 1u);
   EXPECT_EQ(fused->fused_ops()[0].kind, sim::FusedOpKind::kReplayRange);
   EXPECT_EQ(fused->fused_ops()[0].count, base->op_count());
+  const auto hs = sim::lower_host_simd(fused);
+  ASSERT_EQ(hs->items().size(), 1u);
+  EXPECT_EQ(hs->items()[0].kernel_count, 0u);
+  EXPECT_EQ(hs->items()[0].count, base->op_count());
 
   sim::SimdProcessor pi(cfg);
   sim::SimdProcessor pf(cfg);
   pi.load_program(program);
   pf.load_program(program);
   pi.run();
-  fused->execute(pf.vector(), pf.dmem(), pf.config().cycle_model);
+  hs->execute(pf.vector(), pf.dmem(), pf.config().cycle_model);
   for (unsigned r = 0; r < 32; ++r) {
     EXPECT_EQ(pf.vector().get_register(r), pi.vector().get_register(r))
         << "v" << r;
@@ -462,7 +470,8 @@ TEST(TraceFusion, LiveScratchWithoutRecipeStillDemotes) {
   // stores. Everything is live at the end, so both groups have live-out
   // scratch: θ's v5/v6/v7 have recipes and stay fused (written back), the
   // ρ'd v0..v4 have none, so the ρπ group must still demote to per-record
-  // replay. A random register file must come out as the interpreter's.
+  // replay. A random register file must come out of the host-SIMD plan as
+  // the interpreter's.
   const auto program = assembler::assemble(R"(
     li s1, 5
     vsetvli x0, s1, e64, m1, tu, mu
@@ -549,7 +558,8 @@ state:
   pi.dmem().write_block(program.symbol("state"), state_data);
   pf.dmem().write_block(program.symbol("state"), state_data);
   pi.run();
-  fused->execute(pf.vector(), pf.dmem(), pf.config().cycle_model);
+  sim::lower_host_simd(fused)->execute(pf.vector(), pf.dmem(),
+                                       pf.config().cycle_model);
   for (unsigned r = 0; r < 32; ++r) {
     EXPECT_EQ(pf.vector().get_register(r), pi.vector().get_register(r))
         << "v" << r;
@@ -561,49 +571,9 @@ state:
   EXPECT_EQ(mf, mi);
 }
 
-TEST(TraceFusion, CacheKeysFusedAndPlainCompilationsSeparately) {
-  // One shared program, one shard asking for the plain trace and one for
-  // the fused trace: the base recording is compiled once and shared, the
-  // fused artifact is a separate cache entry, and each shard reports its
-  // own backend. A "trace" shard must never observe a fused compilation
-  // and vice versa.
-  sim::TraceCache::global().clear();
-  VectorKeccakConfig ct{Arch::k64Lmul8, 15, 24};
-  ct.backend = ExecBackend::kCompiledTrace;
-  VectorKeccakConfig cf = ct;
-  cf.backend = ExecBackend::kFusedTrace;
-  const auto program = VectorKeccak::build_program(ct);
-
-  VectorKeccak traced(ct, program);
-  VectorKeccak fused(cf, program);
-  EXPECT_EQ(traced.active_backend(), ExecBackend::kCompiledTrace);
-  EXPECT_EQ(fused.active_backend(), ExecBackend::kFusedTrace);
-  EXPECT_EQ(traced.fusion_coverage(), 0.0);
-  EXPECT_GT(fused.fusion_coverage(), 0.5);
-
-  sim::TraceCacheStats st = sim::TraceCache::global().stats();
-  EXPECT_EQ(st.compiles, 1u);  // base recording shared across backends
-  EXPECT_EQ(st.fusions, 1u);   // fused artifact built exactly once
-  EXPECT_EQ(st.hits, 1u);      // the fused request hit the shared base
-  EXPECT_GT(st.fuse_ns, 0u);
-
-  // Same requests again: both served from their own cache entries.
-  VectorKeccak traced2(ct, program);
-  VectorKeccak fused2(cf, program);
-  st = sim::TraceCache::global().stats();
-  EXPECT_EQ(st.compiles, 1u);
-  EXPECT_EQ(st.fusions, 1u);
-  EXPECT_EQ(st.hits, 3u);
-
-  // Digests agree, of course.
-  auto a = random_states(3, 0xBEEF);
-  auto b = a;
-  traced.permute(a);
-  fused.permute(b);
-  for (usize i = 0; i < a.size(); ++i) EXPECT_EQ(b[i], a[i]);
-}
-
-TEST(TraceFusion, EngineStatsReportFusedBackendAndLatency) {
+TEST(TraceFusion, EngineStatsReportFusionCoverageAndLatency) {
+  // EngineStats::fusion_coverage reads the matcher result the host-SIMD
+  // plan owns.
   const auto msgs = random_messages(12, 0x1234);
   std::vector<engine::HashJob> jobs(msgs.size());
   for (usize i = 0; i < msgs.size(); ++i) {
@@ -612,12 +582,12 @@ TEST(TraceFusion, EngineStatsReportFusedBackendAndLatency) {
   engine::EngineConfig cfg;
   cfg.threads = 2;
   cfg.accel = {Arch::k64Lmul8, 15, 24};
-  cfg.accel.backend = ExecBackend::kFusedTrace;
+  cfg.accel.backend = ExecBackend::kHostSimd;
   engine::BatchHashEngine eng(cfg);
   eng.submit_all(jobs);
   (void)eng.drain();
   const engine::EngineStats st = eng.stats();
-  EXPECT_EQ(st.backend, "fused");
+  EXPECT_EQ(st.backend, "host-simd");
   EXPECT_GT(st.fusion_coverage, 0.5);
   EXPECT_EQ(st.latency.count, jobs.size());
   EXPECT_GT(st.latency.p50_ns, 0u);

@@ -6,7 +6,7 @@
 //     -t, --threads N    worker shards                   (default 2)
 //     -s, --sn N         Keccak states per shard: 1|3|6  (default 3)
 //     --arch NAME        64lmul1|64lmul8|32lmul8|64fused (default 64lmul8)
-//     --backend NAME     jit|host-simd|fused|trace|interpreter (default fused)
+//     --backend NAME     jit|host-simd|interpreter          (default jit)
 //     -L, --out-len N    output bytes (required for shake/kmac)
 //     --key HEX          KMAC key
 //     --custom STR       KMAC customization string
@@ -117,9 +117,10 @@ int main(int argc, char** argv) {
   cfg.threads = 2;
   unsigned sn = 3;
   core::Arch arch = core::Arch::k64Lmul8;
-  // The fused-trace backend is the CLI default: digests and reported cycles
-  // are bit-identical to the interpreter, and it auto-falls back.
-  sim::ExecBackend backend = sim::ExecBackend::kFusedTrace;
+  // The jit is the CLI default, the tier kvx-hashd serves on: digests and
+  // reported cycles are bit-identical to the interpreter, and it demotes to
+  // host-simd (then the interpreter) wherever it cannot run.
+  sim::ExecBackend backend = sim::ExecBackend::kJit;
   usize out_len = 0;
   std::vector<u8> key;
   std::vector<u8> customization;

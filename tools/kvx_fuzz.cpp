@@ -6,14 +6,14 @@
 //     --jobs N     jobs per engine configuration                (default 600)
 //     --rate R     injected-fault probability per decision      (default 1e-3)
 //     --backend B  restrict the matrix to one configured backend
-//                  (interpreter/trace/fused/host-simd/jit; default: all five)
+//                  (interpreter/host-simd/jit; default: all three)
 //     --arch A     accelerator architecture
 //                  (64lmul1/64lmul8/32lmul8/64fused; default 64lmul8)
 //     --postmortem DIR  write rate-capped post-mortem dumps to DIR on every
 //                  demotion/job failure and arm the crash handler (same as
 //                  exporting KVX_POSTMORTEM=DIR)
 //     --quick      reduced matrix for CI smoke (SN=3, 2 threads, 120 jobs,
-//                  rate 0.02) — still covers all five backends
+//                  rate 0.02) — still covers all three backends
 //     -v           print one line per configuration
 //
 // Random job streams over all eight algorithms (SHA-3/SHAKE/KMAC) run
@@ -172,10 +172,9 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
   }
-  std::vector<sim::ExecBackend> backends = {
-      sim::ExecBackend::kInterpreter, sim::ExecBackend::kCompiledTrace,
-      sim::ExecBackend::kFusedTrace, sim::ExecBackend::kHostSimd,
-      sim::ExecBackend::kJit};
+  std::vector<sim::ExecBackend> backends = {sim::ExecBackend::kInterpreter,
+                                            sim::ExecBackend::kHostSimd,
+                                            sim::ExecBackend::kJit};
   if (only_backend.has_value()) backends = {*only_backend};
   std::vector<unsigned> sns = {1, 3, 6};
   std::vector<unsigned> threads = {1, 8};

@@ -3,19 +3,18 @@
 //
 //   kvx-run program.img|program.s [--elen 32|64] [--elenum N] [--trace]
 //           [--max-cycles N]
-//           [--backend interpreter|trace|fused|host-simd|jit]
+//           [--backend interpreter|host-simd|jit]
 //
-// With --backend trace the program is compiled into a pre-decoded kernel
-// trace and replayed; the reported cycles, markers and final registers come
-// from the recording run and are bit-identical to the interpreter's.
-// --backend fused additionally pattern-matches the trace into Keccak-step
-// super-kernels (see trace_fusion.hpp) — same architectural results and
-// cycles, less host work. --backend host-simd lowers runs of the matched
-// 64-bit super-kernels to the host's own vector ISA (see host_simd.hpp),
-// picked by CPUID; the reported backend line names the ISA that actually
-// dispatched. --backend jit goes one tier further and emits the whole
-// host-SIMD plan as one native x86-64 function (see jit/jit_trace.hpp).
-// Each tier demotes to the next on a compile/lowering/emission rejection.
+// --backend host-simd records the program once into a pre-decoded kernel
+// trace, matches its Keccak steps and runs the host-SIMD plan (see
+// host_simd.hpp): lowered segments on the host's own vector ISA, picked by
+// CPUID, and replayed records for everything else. The reported cycles,
+// markers and final registers come from the recording run and are
+// bit-identical to the interpreter's; the backend line names the ISA that
+// actually dispatched. --backend jit emits the whole plan as one native
+// x86-64 function (see jit/jit_trace.hpp) and falls back to host-simd when
+// emission is impossible; a rejected recording falls back to the
+// interpreter.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -30,11 +29,9 @@
 #include "kvx/common/error.hpp"
 #include "kvx/core/step_attribution.hpp"
 #include "kvx/isa/disasm.hpp"
-#include "kvx/sim/compiled_trace.hpp"
 #include "kvx/sim/host_simd.hpp"
 #include "kvx/sim/jit/jit_trace.hpp"
 #include "kvx/sim/processor.hpp"
-#include "kvx/sim/trace_fusion.hpp"
 
 namespace {
 
@@ -116,8 +113,6 @@ int main(int argc, char** argv) {
     kvx::sim::SimdProcessor proc(cfg);
     proc.load_program(program);
 
-    std::shared_ptr<const kvx::sim::CompiledTrace> compiled;
-    std::shared_ptr<const kvx::sim::FusedTrace> fused;
     std::shared_ptr<const kvx::sim::HostSimdTrace> hs;
     std::shared_ptr<const kvx::sim::JitTrace> jit;
     if (backend != kvx::sim::ExecBackend::kInterpreter) {
@@ -142,56 +137,32 @@ int main(int argc, char** argv) {
           opts.verify_base = it->second;
           opts.verify_len = len;
         }
+        kvx::sim::TraceCache& cache = kvx::sim::TraceCache::global();
         try {
-          compiled = kvx::sim::compile_trace(program, cfg, opts);
-          if (backend >= kvx::sim::ExecBackend::kFusedTrace) {
-            fused = kvx::sim::fuse_trace(compiled);
-          }
-          if (backend >= kvx::sim::ExecBackend::kHostSimd) {
-            try {
-              hs = kvx::sim::lower_host_simd(fused);
-            } catch (const kvx::SimError& e) {
-              std::fprintf(stderr,
-                           "kvx-run: host-simd lowering rejected (%s); "
-                           "using the fused backend\n",
-                           e.what());
-            }
-          }
-          if (backend == kvx::sim::ExecBackend::kJit && hs != nullptr) {
-            try {
-              jit = kvx::sim::lower_jit(hs);
-            } catch (const kvx::SimError& e) {
-              std::fprintf(stderr,
-                           "kvx-run: jit emission rejected (%s); "
-                           "using the host-simd backend\n",
-                           e.what());
-            }
-          }
-          if (jit != nullptr) {
-            jit->execute(proc.vector(), proc.dmem(),
-                         proc.config().cycle_model);
-          } else if (hs != nullptr) {
-            hs->execute(proc.vector(), proc.dmem(), proc.config().cycle_model);
-          } else if (fused != nullptr) {
-            fused->execute(proc.vector(), proc.dmem(),
-                           proc.config().cycle_model);
-          } else {
-            compiled->execute(proc.vector(), proc.dmem(),
-                              proc.config().cycle_model);
-          }
+          hs = cache.get_or_compile_host_simd(program, cfg, opts);
         } catch (const kvx::SimError& e) {
           std::fprintf(stderr,
                        "kvx-run: trace compilation rejected (%s); "
                        "using the interpreter backend\n",
                        e.what());
-          compiled = nullptr;
-          fused = nullptr;
-          hs = nullptr;
-          jit = nullptr;
+        }
+        if (hs != nullptr && backend == kvx::sim::ExecBackend::kJit) {
+          try {
+            jit = cache.get_or_compile_jit(program, cfg, opts);
+          } catch (const kvx::SimError& e) {
+            std::fprintf(stderr,
+                         "kvx-run: jit emission rejected (%s); "
+                         "using the host-simd backend\n",
+                         e.what());
+          }
         }
       }
     }
-    if (compiled == nullptr) {
+    if (jit != nullptr) {
+      jit->execute(proc.vector(), proc.dmem(), proc.config().cycle_model);
+    } else if (hs != nullptr) {
+      hs->execute(proc.vector(), proc.dmem(), proc.config().cycle_model);
+    } else {
       if (trace) {
         proc.set_trace([](kvx::u32 pc, const kvx::isa::Instruction& inst) {
           std::printf("[%08x] %s\n", pc, kvx::isa::disassemble(inst).c_str());
@@ -201,16 +172,15 @@ int main(int argc, char** argv) {
     }
 
     const kvx::sim::RunStats& st =
-        compiled != nullptr ? compiled->run_stats() : proc.stats();
-    const auto& markers =
-        compiled != nullptr ? compiled->markers() : proc.markers();
+        hs != nullptr ? hs->run_stats() : proc.stats();
+    const auto& markers = hs != nullptr ? hs->markers() : proc.markers();
     if (jit != nullptr) {
       std::printf(
           "backend: jit (isa %s, %zu code bytes, %zu round constants, "
           "%.1f%% of records lowered; fused coverage %.1f%%)\n",
           std::string(kvx::sim::host_simd_isa_name(jit->isa())).c_str(),
           jit->code_size(), jit->literal_count(),
-          100.0 * jit->lowered_coverage(), 100.0 * fused->coverage());
+          100.0 * jit->lowered_coverage(), 100.0 * hs->fused().coverage());
     } else if (hs != nullptr) {
       std::printf(
           "backend: host-simd (isa %s, %zu lowered kernels in %zu segments, "
@@ -219,17 +189,7 @@ int main(int argc, char** argv) {
                           kvx::sim::host_simd_dispatch_isa(hs->sn())))
               .c_str(),
           hs->lowered_kernel_count(), hs->segment_count(),
-          100.0 * hs->lowered_coverage(), 100.0 * fused->coverage());
-    } else if (fused != nullptr) {
-      std::printf(
-          "backend: fused (%zu super-kernels covering %zu of %zu records, "
-          "%.1f%%, host SIMD %s)\n",
-          fused->super_kernel_count(), fused->fused_record_count(),
-          compiled->op_count(), 100.0 * fused->coverage(),
-          kvx::sim::fusion_host_simd() ? "on" : "off");
-    } else if (compiled != nullptr) {
-      std::printf("backend: trace (%zu kernels, %zu generic)\n",
-                  compiled->op_count(), compiled->generic_op_count());
+          100.0 * hs->lowered_coverage(), 100.0 * hs->fused().coverage());
     }
     std::printf("halted after %llu cycles, %llu instructions "
                 "(%llu scalar, %llu vector)\n",
@@ -296,8 +256,8 @@ int main(int argc, char** argv) {
     }
     std::printf("nonzero scalar registers:\n");
     for (unsigned r = 1; r < 32; ++r) {
-      const kvx::u32 v = compiled != nullptr ? compiled->final_scalar_regs()[r]
-                                             : proc.scalar().regs().read(r);
+      const kvx::u32 v = hs != nullptr ? hs->final_scalar_regs()[r]
+                                       : proc.scalar().regs().read(r);
       if (v != 0) {
         std::printf("  %-5s = 0x%08x (%u)\n",
                     std::string(kvx::isa::xreg_name(r)).c_str(), v, v);
