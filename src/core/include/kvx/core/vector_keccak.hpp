@@ -7,6 +7,7 @@
 // paper's cycles/round and cycles/permutation numbers.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <span>
@@ -108,8 +109,9 @@ class VectorKeccak {
 
   /// Backend that actually completed the last successful permute() — equal
   /// to active_backend() unless that dispatch demoted mid-chain.
+  /// Safe to read while another thread dispatches (engine stats()).
   [[nodiscard]] sim::ExecBackend last_backend() const noexcept {
-    return last_backend_;
+    return last_backend_.load(std::memory_order_relaxed);
   }
 
   /// Cumulative backend demotions: compile-time downgrades at construction
@@ -207,7 +209,7 @@ class VectorKeccak {
   mutable std::vector<u8> stage_block_;
   std::shared_ptr<const sim::HostSimdTrace> hs_;  ///< null = interpreter
   std::shared_ptr<const sim::JitTrace> jit_;      ///< kJit only
-  sim::ExecBackend last_backend_ = sim::ExecBackend::kInterpreter;
+  std::atomic<sim::ExecBackend> last_backend_{sim::ExecBackend::kInterpreter};
   u64 fallbacks_ = 0;               ///< cumulative backend demotions
   std::string last_fallback_error_; ///< reason of the latest demotion
   std::vector<BackendAttempt> construction_attempts_;

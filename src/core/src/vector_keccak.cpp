@@ -110,7 +110,7 @@ VectorKeccak::VectorKeccak(const VectorKeccakConfig& config,
       note_fallback(tier, sim::demote_backend(tier), e.what());
     }
   }
-  last_backend_ = active_backend();
+  last_backend_.store(active_backend(), std::memory_order_relaxed);
   if (hs_ != nullptr) {
     // The marker stream was recorded once from the interpreter and is
     // immutable; both trace-backed tiers pass it through verbatim, so its
@@ -172,7 +172,7 @@ void VectorKeccak::permute(std::span<keccak::State> states) {
   for (;;) {
     try {
       run_backend(tier, states);
-      last_backend_ = tier;
+      last_backend_.store(tier, std::memory_order_relaxed);
       dispatch_attempts_.push_back({tier, "", false});
       unstage_states(states);
       return;

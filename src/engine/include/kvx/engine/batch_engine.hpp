@@ -40,20 +40,12 @@
 #include <utility>
 #include <vector>
 
-#include "kvx/common/rng.hpp"
 #include "kvx/core/parallel_sha3.hpp"
 #include "kvx/engine/job.hpp"
 #include "kvx/engine/job_queue.hpp"
 #include "kvx/engine/stats.hpp"
-
-namespace kvx::obs {
-class Gauge;
-class Summary;
-namespace pm {
-struct EngineMirror;
-struct EngineShardMirror;
-}  // namespace pm
-}  // namespace kvx::obs
+#include "kvx/obs/metrics.hpp"
+#include "kvx/obs/postmortem.hpp"
 
 namespace kvx::engine {
 
@@ -164,47 +156,46 @@ class BatchHashEngine {
   /// lock-free backpressure signal servers compare against max_queue; see
   /// also in_flight() for queued + executing.
   [[nodiscard]] usize queue_depth() const noexcept { return queue_.depth(); }
-  /// Jobs submitted but not yet retired (queued or executing). Takes the
-  /// state mutex briefly; cheap enough for per-event-loop-iteration use.
-  [[nodiscard]] u64 in_flight() const {
-    std::lock_guard lock(state_mutex_);
-    return submitted_ - retired_;
-  }
-  /// Snapshot of the engine counters (thread-safe at any time).
+  /// Jobs submitted but not yet retired (queued or executing). Lock-free:
+  /// three atomic loads of the engine counters.
+  [[nodiscard]] u64 in_flight() const noexcept;
+  /// Snapshot of the engine counters (thread-safe at any time, lock-free;
+  /// mid-flight, completed + failed ≤ submitted holds at every snapshot).
   [[nodiscard]] EngineStats stats() const;
 
  private:
-  /// Cache-line-aligned so one shard's stats churn never false-shares with
-  /// its neighbour (shards are also separately heap-allocated).
+  /// Cache-line-aligned so one shard's counter churn never false-shares
+  /// with its neighbour (shards are also separately heap-allocated).
   struct alignas(64) Shard {
     std::unique_ptr<core::ParallelSha3> accel;
-    ShardStats stats;        ///< guarded by state_mutex_
+    /// This shard's counters: a slot of the engine's post-mortem block, or
+    /// own_counters past pm::kMaxShards. Written by this shard's worker
+    /// once per batch (relaxed), read by stats() and the crash handler.
+    obs::pm::ShardCounters* counters = nullptr;
+    obs::pm::ShardCounters own_counters;
     /// Cumulative accel->backend_fallbacks() already accounted for, so
     /// dispatch-time demotions are attributed per batch by diffing the
     /// accelerator's monotone counter (worker thread only).
     u64 fallbacks_seen = 0;
     unsigned index = 0;      ///< dense shard id (flight-recorder dispatch tag)
-    /// Post-mortem mirror slot this shard keeps in sync (null when the
-    /// engine got no mirror, or for shards beyond the mirror's capacity).
-    obs::pm::EngineShardMirror* mirror = nullptr;
   };
 
   void worker_loop(unsigned index, Shard& shard);
+  /// Dispatch `batch`, then retire every job of it. Nothing is retired or
+  /// counted until every dispatch has run, so a throw leaves the whole
+  /// batch to fail_batch.
   void process_batch(Shard& shard, std::vector<QueuedJob>& batch);
   /// Retire every job of `batch` as failed with the same error (the
   /// worker-loop backstop for non-dispatch failures).
   void fail_batch(Shard& shard, const std::vector<QueuedJob>& batch,
                   const char* what);
-  /// Record one submit-to-retire latency sample (histogram, reservoir,
-  /// exact max). `flight_seq` (if nonzero) becomes the histogram bucket's
-  /// exemplar when the sample is its new maximum. Caller holds state_mutex_.
-  void record_latency_locked(u64 sample_ns, u64 flight_seq);
-  /// Mark job `seq` failed and retired (slot write + accounting + metrics
-  /// + latency stamp + flight event). Caller holds state_mutex_.
+  /// Stamp one retirement's submit-to-retire latency into the engine's
+  /// histogram and the process-wide one (`flight_seq` becomes the latter's
+  /// bucket exemplar when the sample is its new maximum). Lock-free.
+  void record_latency(u64 sample_ns, u64 flight_seq) noexcept;
+  /// Retire job `seq` as failed at submit time (event, latency, counters,
+  /// then the slot write). Caller holds state_mutex_.
   void fail_job_locked(u64 seq, u64 submit_ns, std::string error);
-  /// Push submitted/completed/failed into the post-mortem mirror (relaxed
-  /// stores; no-op without a mirror). Caller holds state_mutex_.
-  void sync_mirror_locked() noexcept;
   /// Poke the completion-notification fd, if one is set (one u64 write;
   /// failures ignored). Called after every retirement batch.
   void notify_retire() noexcept;
@@ -217,35 +208,26 @@ class BatchHashEngine {
   /// Tokens for the callback-bound queue-depth gauges (aggregate + one per
   /// queue shard), unbound in the destructor before queue_ dies.
   std::vector<std::pair<obs::Gauge*, u64>> depth_gauges_;
-  /// Callback-bound latency summary (p50/p99/p99.9 from the reservoir),
-  /// unbound in the destructor like the gauges.
-  obs::Summary* latency_summary_ = nullptr;
-  u64 latency_summary_token_ = 0;
-  /// Post-mortem stat mirror (null when kMaxEngines are already live);
-  /// released in the destructor.
-  obs::pm::EngineMirror* mirror_ = nullptr;
+  /// The engine counters (submitted/completed/failed + per-shard): a
+  /// post-mortem pool block when one is free (released in the destructor),
+  /// own_counters_ otherwise. Every counter is written here once and read
+  /// from here by stats(), in_flight() and the crash handler.
+  obs::pm::EngineCounters* counters_ = nullptr;
+  obs::pm::EngineCounters own_counters_;
+  /// Submit-to-retire latency of every retired job (failed included).
+  obs::Histogram latency_{obs::fine_latency_bounds_ns()};
   /// Completion-notification fd (eventfd/pipe), -1 = disabled. The caller
   /// owns it; see set_notify_fd().
   std::atomic<int> notify_fd_{-1};
 
+  /// Guards the result slots below, collected_, closed_ and the sequence
+  /// reservation (counters_->submitted only advances under it).
   mutable std::mutex state_mutex_;
   std::condition_variable all_done_;
-  u64 submitted_ = 0;   ///< total jobs accepted
-  u64 retired_ = 0;     ///< jobs with an outcome recorded (ok or failed)
-  u64 failed_ = 0;      ///< subset of retired_ carrying a per-job error
   u64 collected_ = 0;   ///< results already returned by drain calls
   bool closed_ = false;
   u64 backend_compile_ns_ = 0;  ///< trace compile+fuse time at construction
   std::chrono::steady_clock::time_point start_time_;
-  /// Submit-to-retire latency reservoir (Algorithm R; guarded by
-  /// state_mutex_): an unbiased fixed-size sample of ALL retired jobs —
-  /// failed jobs are stamped too, so percentiles are never skewed by
-  /// dropping failures. See LatencyStats in stats.hpp.
-  std::vector<u64> latency_ns_;
-  u64 latency_observed_ = 0;  ///< jobs offered to the reservoir
-  u64 latency_max_ns_ = 0;    ///< exact maximum (not sampled)
-  u64 latency_sum_ns_ = 0;    ///< exact sum (summary _sum series)
-  SplitMix64 latency_rng_{0x6B76785F6C6174ull};  ///< deterministic slots
   /// Outcome of job seq = collected_ + i at index i; filled out of order
   /// by workers, returned in order by drain calls. done_[i] flags slot i
   /// as retired (results_[i].ok() cannot distinguish "pending" from

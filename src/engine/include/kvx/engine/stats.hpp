@@ -27,18 +27,18 @@ struct ShardStats {
 
 /// Submit-to-retire job latency percentiles (host wall time).
 ///
-/// Percentiles are computed from a fixed-size reservoir (65536 samples,
-/// Algorithm R): every retired job is observed, and once the reservoir is
-/// full each new observation replaces a uniformly random slot, so the
-/// sample stays an unbiased draw from ALL jobs — the tail is not biased
-/// toward early jobs. `count` is the number of jobs observed (not the
-/// reservoir size) and `max_ns` is tracked exactly, outside the reservoir.
+/// Every retired job — failed or not — is counted once in the engine's
+/// latency histogram (obs::fine_latency_bounds_ns: eight log-spaced buckets
+/// per octave). Each percentile is interpolated inside the bucket holding
+/// its rank, so it lies within one bucket width — about 2^(1/8) − 1 ≈ 9%
+/// of the value — of the exact order statistic, and never above max_ns.
+/// `count` and `max_ns` are exact.
 struct LatencyStats {
   u64 count = 0;    ///< retired jobs observed
   u64 p50_ns = 0;   ///< median latency
   u64 p99_ns = 0;   ///< 99th-percentile latency
   u64 p999_ns = 0;  ///< 99.9th-percentile latency
-  u64 max_ns = 0;   ///< worst-case latency (exact, not sampled)
+  u64 max_ns = 0;   ///< worst-case latency (exact)
 };
 
 /// Rates derived from the engine counters over a wall-time window. The ONE

@@ -133,9 +133,14 @@ class Gauge {
 /// Fixed-bucket histogram. Bounds are upper-inclusive (`le`), strictly
 /// increasing, fixed at creation; observations beyond the last bound land
 /// only in the implicit +Inf bucket. Each stripe owns a full bucket array,
-/// so observe() touches only the caller's stripe.
+/// so observe() touches only the caller's stripe. Registered histograms come
+/// from MetricsRegistry::histogram(); an owner that only reads quantiles
+/// back (the engine's per-engine latency) constructs one directly.
 class Histogram {
  public:
+  /// `bounds` must be strictly increasing (throws kvx::Error otherwise).
+  explicit Histogram(std::vector<u64> bounds);
+
   /// One exemplar per bucket: the bucket-max observation and the flight-
   /// recorder sequence number recorded with it (0 = none yet). kvx-doctor
   /// uses the latency histogram's exemplars to reconstruct what the engine
@@ -157,6 +162,15 @@ class Histogram {
   [[nodiscard]] std::vector<u64> cumulative_counts() const;
   [[nodiscard]] u64 count() const noexcept;
   [[nodiscard]] u64 sum() const noexcept;
+  /// Largest observation so far (exact; 0 while empty).
+  [[nodiscard]] u64 max() const noexcept {
+    return max_.load(std::memory_order_relaxed);
+  }
+  /// Estimated q-quantile (q in [0, 1]) of every observation: the bucket
+  /// holding rank q·count, linearly interpolated between its bounds (the
+  /// +Inf bucket spans last bound .. max) and clamped to max(). The error
+  /// is at most that bucket's width; 0 while empty.
+  [[nodiscard]] u64 quantile(double q) const;
   /// Per-bucket exemplars (bounds + 1 entries).
   [[nodiscard]] std::vector<Exemplar> exemplars() const;
 
@@ -168,8 +182,8 @@ class Histogram {
                 usize cap) const noexcept;
 
  private:
-  friend class MetricsRegistry;
-  explicit Histogram(std::vector<u64> bounds);
+  /// Count `v` in its bucket, the sum and the max; returns the bucket.
+  usize record(u64 v) noexcept;
 
   struct Stripe {
     detail::PaddedU64 sum;
@@ -187,39 +201,16 @@ class Histogram {
   std::vector<u64> bounds_;
   Stripe stripes_[detail::kStripes];
   std::unique_ptr<ExemplarSlot[]> exemplars_;  ///< bounds + 1 (shared)
-};
-
-/// Callback-backed summary: quantiles evaluated at scrape time from a
-/// source the owner keeps (the engine's latency reservoir). Exposed in the
-/// Prometheus text format as `name{quantile="..."}` series plus _sum and
-/// _count, and under "summaries" in the JSON exposition. Omitted from
-/// post-mortem dumps (the callback needs the owner's lock).
-class Summary {
- public:
-  struct Snapshot {
-    std::vector<std::pair<double, double>> quantiles;  ///< (q, value)
-    u64 count = 0;
-    double sum = 0.0;
-  };
-
-  /// Bind the snapshot source; same token/supersession contract as
-  /// Gauge::bind.
-  u64 bind(std::function<Snapshot()> fn);
-  /// Freeze the final snapshot if `token` is still the current binding.
-  void unbind(u64 token);
-  [[nodiscard]] Snapshot value() const;
-
- private:
-  friend class MetricsRegistry;
-  Summary() = default;
-  mutable std::mutex mutex_;
-  std::function<Snapshot()> cb_;
-  u64 cb_token_ = 0;
-  Snapshot frozen_;
+  std::atomic<u64> max_{0};
 };
 
 /// Exponential default buckets for nanosecond latencies: 1 µs .. ~17 s.
 [[nodiscard]] std::vector<u64> default_latency_bounds_ns();
+
+/// Log-spaced nanosecond buckets fine enough for quantile estimates: eight
+/// per octave (each bound 2^(1/8) ≈ 1.09× the previous, so a quantile is
+/// within ~9% of the exact order statistic) from 64 ns to 2^36 ns (~69 s).
+[[nodiscard]] std::vector<u64> fine_latency_bounds_ns();
 
 /// Point-in-time snapshot of one metric (stable scrape order: registration
 /// order within each kind).
@@ -229,8 +220,7 @@ struct MetricSample {
   /// Pre-rendered Prometheus label pairs (`k="v",k2="v2"`); "" for the
   /// common unlabeled case.
   std::string labels;
-  enum class Kind { kCounter, kGauge, kHistogram, kSummary } kind =
-      Kind::kCounter;
+  enum class Kind { kCounter, kGauge, kHistogram } kind = Kind::kCounter;
   u64 counter_value = 0;
   double gauge_value = 0.0;
   std::vector<u64> bounds;        ///< histogram only
@@ -238,7 +228,6 @@ struct MetricSample {
   std::vector<Histogram::Exemplar> exemplars;  ///< histogram only
   u64 hist_count = 0;
   u64 hist_sum = 0;
-  Summary::Snapshot summary;      ///< summary only
 };
 
 class MetricsRegistry {
@@ -263,7 +252,6 @@ class MetricsRegistry {
   /// `bounds` must be strictly increasing; empty = default_latency_bounds_ns.
   Histogram& histogram(const std::string& name, const std::string& help = "",
                        std::vector<u64> bounds = {});
-  Summary& summary(const std::string& name, const std::string& help = "");
 
   [[nodiscard]] std::vector<MetricSample> snapshot() const;
   [[nodiscard]] std::string to_prometheus() const;
@@ -274,8 +262,8 @@ class MetricsRegistry {
 
   // --- Async-signal-safe scrape support (post-mortem dumps) ---------------
   // Registration also appends each entry to a fixed, append-only side index
-  // readable without the registry mutex. Summaries are excluded (their
-  // value needs a callback); bound gauges report stored_value().
+  // readable without the registry mutex; bound gauges report
+  // stored_value().
 
   static constexpr usize kPmMaxMetrics = 256;
   static constexpr usize kPmMaxBuckets = 32;
@@ -311,7 +299,6 @@ class MetricsRegistry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<Summary> summary;
   };
 
   Entry& find_or_create(const std::string& name, const std::string& help,

@@ -1,5 +1,5 @@
 // Crash post-mortems: async-signal-safe dumps of the flight recorder, the
-// metrics registry, per-engine/per-shard stat mirrors and build info.
+// metrics registry, the per-engine/per-shard counters and build info.
 //
 // Two producers write the same versioned binary format (see below):
 //  * install_crash_handler() hooks the fatal signals (SIGSEGV, SIGBUS,
@@ -38,8 +38,7 @@
 //                           (jobs, failures, fallbacks, dispatches,
 //                            sim_cycles, permutations, bytes)
 // Constraints the format inherits from signal context: bound gauges report
-// their last stored value (callbacks cannot run under a signal), summary
-// metrics are omitted (they are derived under the engine lock), and a
+// their last stored value (callbacks cannot run under a signal), and a
 // mid-flight dump may legitimately show submitted > completed + failed.
 #pragma once
 
@@ -65,13 +64,17 @@ enum class SectionKind : u32 {
 };
 
 // ---------------------------------------------------------------------------
-// Engine stat mirrors: POD blocks of relaxed atomics engines keep in sync so
-// the signal handler can scrape per-shard EngineStats without any lock.
+// Engine counters: the ONE storage location of every BatchHashEngine
+// counter. Blocks of atomics in a static pool, so the signal handler scrapes
+// them without any lock; an engine that finds the pool full (or a shard past
+// kMaxShards) keeps an identical block of its own, invisible to dumps.
 
 inline constexpr usize kMaxEngines = 8;
 inline constexpr usize kMaxShards = 32;
 
-struct EngineShardMirror {
+/// One worker shard's counters (engine::ShardStats). Dumps carry the first
+/// seven; host_ns and the step attribution stay in-process.
+struct alignas(64) ShardCounters {
   std::atomic<u64> jobs{0};
   std::atomic<u64> failures{0};
   std::atomic<u64> fallbacks{0};
@@ -79,21 +82,29 @@ struct EngineShardMirror {
   std::atomic<u64> sim_cycles{0};
   std::atomic<u64> permutations{0};
   std::atomic<u64> bytes{0};
+  std::atomic<u64> host_ns{0};
+  std::atomic<u64> theta{0};
+  std::atomic<u64> rho_pi{0};
+  std::atomic<u64> chi_iota{0};
+  std::atomic<u64> absorb{0};
+  std::atomic<u64> other{0};
+  std::atomic<u64> step_total{0};
+  std::atomic<u64> rounds{0};
 };
 
-struct EngineMirror {
+struct EngineCounters {
   std::atomic<u32> in_use{0};
   std::atomic<u32> shard_count{0};
   std::atomic<u64> submitted{0};
   std::atomic<u64> completed{0};
   std::atomic<u64> failed{0};
-  EngineShardMirror shards[kMaxShards];
+  ShardCounters shards[kMaxShards];
 };
 
-/// Claim a mirror slot (nullptr once kMaxEngines engines are live — such an
-/// engine simply stays invisible to dumps).
-[[nodiscard]] EngineMirror* claim_engine_mirror() noexcept;
-void release_engine_mirror(EngineMirror* mirror) noexcept;
+/// Claim a zeroed pool block (nullptr once kMaxEngines engines are live —
+/// such an engine keeps its own block and stays invisible to dumps).
+[[nodiscard]] EngineCounters* claim_engine_counters() noexcept;
+void release_engine_counters(EngineCounters* counters) noexcept;
 
 // ---------------------------------------------------------------------------
 // Configuration + dump entry points.

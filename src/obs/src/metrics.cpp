@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -38,17 +39,8 @@ const char* kind_name(MetricSample::Kind k) {
     case MetricSample::Kind::kCounter: return "counter";
     case MetricSample::Kind::kGauge: return "gauge";
     case MetricSample::Kind::kHistogram: return "histogram";
-    case MetricSample::Kind::kSummary: return "summary";
   }
   return "?";
-}
-
-/// Render a quantile label value without trailing zeros ("0.5", "0.999",
-/// "1") — the conventional Prometheus spelling.
-std::string quantile_label(double q) {
-  std::ostringstream os;
-  os << q;
-  return os.str();
 }
 
 void append_json_string(std::string& out, const std::string& s) {
@@ -78,6 +70,14 @@ std::string format_double(double v) {
   return os.str();
 }
 
+/// Raise `slot` to at least `v` (relaxed CAS-max).
+void raise_to(std::atomic<u64>& slot, u64 v) noexcept {
+  u64 cur = slot.load(std::memory_order_relaxed);
+  while (v > cur &&
+         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+
 }  // namespace
 
 double Gauge::value() const {
@@ -105,25 +105,6 @@ void Gauge::unbind(u64 token) {
   bound_.store(false, std::memory_order_release);
 }
 
-u64 Summary::bind(std::function<Snapshot()> fn) {
-  std::lock_guard lock(mutex_);
-  cb_ = std::move(fn);
-  return ++cb_token_;
-}
-
-void Summary::unbind(u64 token) {
-  std::lock_guard lock(mutex_);
-  if (token != cb_token_ || !cb_) return;  // superseded by a later bind
-  frozen_ = cb_();
-  cb_ = nullptr;
-}
-
-Summary::Snapshot Summary::value() const {
-  std::lock_guard lock(mutex_);
-  if (cb_) return cb_();
-  return frozen_;
-}
-
 Histogram::Histogram(std::vector<u64> bounds) : bounds_(std::move(bounds)) {
   KVX_CHECK_MSG(std::is_sorted(bounds_.begin(), bounds_.end()) &&
                     std::adjacent_find(bounds_.begin(), bounds_.end()) ==
@@ -136,21 +117,20 @@ Histogram::Histogram(std::vector<u64> bounds) : bounds_(std::move(bounds)) {
   exemplars_ = std::make_unique<ExemplarSlot[]>(bounds_.size() + 1);
 }
 
-void Histogram::observe(u64 v) noexcept {
+usize Histogram::record(u64 v) noexcept {
   auto& stripe = stripes_[detail::stripe_index()];
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const usize idx = static_cast<usize>(it - bounds_.begin());
   stripe.buckets[idx].fetch_add(1, std::memory_order_relaxed);
   stripe.sum.value.fetch_add(v, std::memory_order_relaxed);
+  raise_to(max_, v);
+  return idx;
 }
 
+void Histogram::observe(u64 v) noexcept { (void)record(v); }
+
 void Histogram::observe_exemplar(u64 v, u64 flight_seq) noexcept {
-  auto& stripe = stripes_[detail::stripe_index()];
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const usize idx = static_cast<usize>(it - bounds_.begin());
-  stripe.buckets[idx].fetch_add(1, std::memory_order_relaxed);
-  stripe.sum.value.fetch_add(v, std::memory_order_relaxed);
-  ExemplarSlot& ex = exemplars_[idx];
+  ExemplarSlot& ex = exemplars_[record(v)];
   u64 cur = ex.value.load(std::memory_order_relaxed);
   while (v >= cur) {  // >= so a tie still refreshes the (newer) flight seq
     if (ex.value.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
@@ -191,6 +171,27 @@ u64 Histogram::sum() const noexcept {
     total += s.sum.value.load(std::memory_order_relaxed);
   }
   return total;
+}
+
+u64 Histogram::quantile(double q) const {
+  const std::vector<u64> cum = cumulative_counts();
+  const u64 n = cum.back();
+  if (n == 0) return 0;
+  // Rank of the wanted order statistic (1-based, continuous): the bucket
+  // holding it is the first whose cumulative count reaches it.
+  const double rank =
+      std::max(1.0, std::clamp(q, 0.0, 1.0) * static_cast<double>(n));
+  const auto reached = std::lower_bound(
+      cum.begin(), cum.end(), rank,
+      [](u64 c, double r) { return static_cast<double>(c) < r; });
+  const usize i = static_cast<usize>(reached - cum.begin());
+  const u64 hi = max();
+  const double below = i == 0 ? 0.0 : static_cast<double>(cum[i - 1]);
+  const double lo = i == 0 ? 0.0 : static_cast<double>(bounds_[i - 1]);
+  const double up = static_cast<double>(i < bounds_.size() ? bounds_[i] : hi);
+  const double frac = (rank - below) / (static_cast<double>(cum[i]) - below);
+  const double est = lo + frac * std::max(0.0, up - lo);
+  return std::min(hi, static_cast<u64>(est + 0.5));
 }
 
 std::vector<Histogram::Exemplar> Histogram::exemplars() const {
@@ -235,6 +236,18 @@ std::vector<u64> default_latency_bounds_ns() {
   return bounds;
 }
 
+std::vector<u64> fine_latency_bounds_ns() {
+  constexpr int kPerOctave = 8;
+  constexpr int kOctaves = 30;  // 2^6 .. 2^36 ns
+  std::vector<u64> bounds;
+  bounds.reserve(kPerOctave * kOctaves + 1);
+  for (int k = 0; k <= kPerOctave * kOctaves; ++k) {
+    bounds.push_back(static_cast<u64>(
+        std::llround(64.0 * std::exp2(static_cast<double>(k) / kPerOctave))));
+  }
+  return bounds;
+}
+
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;
@@ -264,9 +277,6 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_create(
 }
 
 void MetricsRegistry::pm_publish_locked(Entry& e) {
-  // Summaries need their owner's callback (and lock) to evaluate — they
-  // cannot be scraped from a signal context, so they stay out of the index.
-  if (e.kind == MetricSample::Kind::kSummary) return;
   const usize n = pm_count_.load(std::memory_order_relaxed);
   if (n >= kPmMaxMetrics) return;  // overflow: absent from dumps, that's all
   pm_entries_[n] = &e;
@@ -302,8 +312,6 @@ bool MetricsRegistry::pm_read(usize i, PmRead& out) const noexcept {
         }
       }
       break;
-    case MetricSample::Kind::kSummary:
-      break;  // never indexed
   }
   return true;
 }
@@ -356,14 +364,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *e.histogram;
 }
 
-Summary& MetricsRegistry::summary(const std::string& name,
-                                  const std::string& help) {
-  std::lock_guard lock(mutex_);
-  Entry& e = find_or_create(name, help, MetricSample::Kind::kSummary);
-  if (!e.summary) e.summary.reset(new Summary());
-  return *e.summary;
-}
-
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
   std::lock_guard lock(mutex_);
   std::vector<MetricSample> out;
@@ -387,9 +387,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
         s.exemplars = e->histogram->exemplars();
         s.hist_count = s.cumulative.empty() ? 0 : s.cumulative.back();
         s.hist_sum = e->histogram->sum();
-        break;
-      case MetricSample::Kind::kSummary:
-        s.summary = e->summary->value();
         break;
     }
     out.push_back(std::move(s));
@@ -424,15 +421,6 @@ std::string MetricsRegistry::to_prometheus() const {
         out += s.name + "_count " + std::to_string(s.hist_count) + "\n";
         break;
       }
-      case MetricSample::Kind::kSummary: {
-        for (const auto& [q, v] : s.summary.quantiles) {
-          out += s.name + "{quantile=\"" + quantile_label(q) + "\"} " +
-                 format_double(v) + "\n";
-        }
-        out += s.name + "_sum " + format_double(s.summary.sum) + "\n";
-        out += s.name + "_count " + std::to_string(s.summary.count) + "\n";
-        break;
-      }
     }
   }
   return out;
@@ -440,7 +428,7 @@ std::string MetricsRegistry::to_prometheus() const {
 
 std::string MetricsRegistry::to_json() const {
   const auto samples = snapshot();
-  std::string counters, gauges, histograms, summaries;
+  std::string counters, gauges, histograms;
   for (const auto& s : samples) {
     switch (s.kind) {
       case MetricSample::Kind::kCounter:
@@ -486,26 +474,10 @@ std::string MetricsRegistry::to_json() const {
         histograms += "}";
         break;
       }
-      case MetricSample::Kind::kSummary: {
-        if (!summaries.empty()) summaries += ',';
-        append_json_string(summaries, s.name);
-        summaries += ":{\"quantiles\":{";
-        bool first = true;
-        for (const auto& [q, v] : s.summary.quantiles) {
-          if (!first) summaries += ',';
-          first = false;
-          append_json_string(summaries, quantile_label(q));
-          summaries += ':' + format_double(v);
-        }
-        summaries += "},\"count\":" + std::to_string(s.summary.count) +
-                     ",\"sum\":" + format_double(s.summary.sum) + "}";
-        break;
-      }
     }
   }
   return "{\"counters\":{" + counters + "},\"gauges\":{" + gauges +
-         "},\"histograms\":{" + histograms + "},\"summaries\":{" + summaries +
-         "}}";
+         "},\"histograms\":{" + histograms + "}}";
 }
 
 void MetricsRegistry::reset() {

@@ -228,8 +228,6 @@ u64 metric_payload_bytes(const MetricsRegistry::PmRead& m) noexcept {
       bytes += m.bounds_len * 8 + (m.bounds_len + 1) * 8 + 8 +
                (m.bounds_len + 1) * 16;
       break;
-    case MetricSample::Kind::kSummary:
-      break;  // never indexed
   }
   return bytes;
 }
@@ -284,20 +282,18 @@ void write_metrics(Writer& w, usize count) noexcept {
         }
         break;
       }
-      case MetricSample::Kind::kSummary:
-        break;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Engine mirror pool.
+// Engine counter pool.
 
-EngineMirror g_mirrors[kMaxEngines];
+EngineCounters g_engines[kMaxEngines];
 
 usize count_engines() noexcept {
   usize n = 0;
-  for (const auto& m : g_mirrors) {
+  for (const auto& m : g_engines) {
     if (m.in_use.load(std::memory_order_acquire) != 0) ++n;
   }
   return n;
@@ -305,7 +301,7 @@ usize count_engines() noexcept {
 
 u64 size_engines() noexcept {
   u64 bytes = 4;
-  for (const auto& m : g_mirrors) {
+  for (const auto& m : g_engines) {
     if (m.in_use.load(std::memory_order_acquire) == 0) continue;
     const u32 shards = m.shard_count.load(std::memory_order_relaxed);
     bytes += 8 + 24 + static_cast<u64>(shards) * 56;
@@ -315,16 +311,21 @@ u64 size_engines() noexcept {
 
 void write_engines(Writer& w) noexcept {
   w.put_u32(static_cast<u32>(count_engines()));
-  for (const auto& m : g_mirrors) {
+  for (const auto& m : g_engines) {
     if (m.in_use.load(std::memory_order_acquire) == 0) continue;
     const u32 shards = m.shard_count.load(std::memory_order_relaxed);
+    // Retirements before submissions (the engine's stats() order), so a
+    // mid-flight dump still shows completed + failed <= submitted.
+    const u64 completed = m.completed.load(std::memory_order_acquire);
+    const u64 failed = m.failed.load(std::memory_order_acquire);
+    const u64 submitted = m.submitted.load(std::memory_order_relaxed);
     w.put_u32(shards);
     w.put_u32(0);
-    w.put_u64(m.submitted.load(std::memory_order_relaxed));
-    w.put_u64(m.completed.load(std::memory_order_relaxed));
-    w.put_u64(m.failed.load(std::memory_order_relaxed));
+    w.put_u64(submitted);
+    w.put_u64(completed);
+    w.put_u64(failed);
     for (u32 s = 0; s < shards && s < kMaxShards; ++s) {
-      const EngineShardMirror& sh = m.shards[s];
+      const ShardCounters& sh = m.shards[s];
       w.put_u64(sh.jobs.load(std::memory_order_relaxed));
       w.put_u64(sh.failures.load(std::memory_order_relaxed));
       w.put_u64(sh.fallbacks.load(std::memory_order_relaxed));
@@ -429,8 +430,8 @@ void fatal_signal_handler(int signo, siginfo_t*, void*) {
 
 }  // namespace
 
-EngineMirror* claim_engine_mirror() noexcept {
-  for (auto& m : g_mirrors) {
+EngineCounters* claim_engine_counters() noexcept {
+  for (auto& m : g_engines) {
     u32 expected = 0;
     if (m.in_use.compare_exchange_strong(expected, 1,
                                          std::memory_order_acq_rel)) {
@@ -439,13 +440,13 @@ EngineMirror* claim_engine_mirror() noexcept {
       m.completed.store(0, std::memory_order_relaxed);
       m.failed.store(0, std::memory_order_relaxed);
       for (auto& sh : m.shards) {
-        sh.jobs.store(0, std::memory_order_relaxed);
-        sh.failures.store(0, std::memory_order_relaxed);
-        sh.fallbacks.store(0, std::memory_order_relaxed);
-        sh.dispatches.store(0, std::memory_order_relaxed);
-        sh.sim_cycles.store(0, std::memory_order_relaxed);
-        sh.permutations.store(0, std::memory_order_relaxed);
-        sh.bytes.store(0, std::memory_order_relaxed);
+        for (std::atomic<u64>* c :
+             {&sh.jobs, &sh.failures, &sh.fallbacks, &sh.dispatches,
+              &sh.sim_cycles, &sh.permutations, &sh.bytes, &sh.host_ns,
+              &sh.theta, &sh.rho_pi, &sh.chi_iota, &sh.absorb, &sh.other,
+              &sh.step_total, &sh.rounds}) {
+          c->store(0, std::memory_order_relaxed);
+        }
       }
       return &m;
     }
@@ -453,8 +454,10 @@ EngineMirror* claim_engine_mirror() noexcept {
   return nullptr;
 }
 
-void release_engine_mirror(EngineMirror* mirror) noexcept {
-  if (mirror != nullptr) mirror->in_use.store(0, std::memory_order_release);
+void release_engine_counters(EngineCounters* counters) noexcept {
+  if (counters != nullptr) {
+    counters->in_use.store(0, std::memory_order_release);
+  }
 }
 
 void set_dump_dir(const std::string& dir) {

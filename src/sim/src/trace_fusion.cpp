@@ -97,9 +97,38 @@ class Matcher {
            slide_shift(o) == shift;
   }
 
+  /// Bytes record `o` writes, as [off, off + len). π rows scatter over the
+  /// five planes at d; the other step rows write one row.
+  [[nodiscard]] std::pair<u32, u32> written(const TraceOp& o) const noexcept {
+    switch (o.kind) {
+      case TraceOpKind::kBinVV:
+      case TraceOpKind::kBinVS:
+      case TraceOpKind::kIota:
+        return {o.d, o.n * (o.sew / 8u)};
+      case TraceOpKind::kPiRow:
+      case TraceOpKind::kRhoPiRow:
+        return {o.d, 5 * rb_};
+      default:
+        return {o.d, 5u * o.sn * (o.sew / 8u)};
+    }
+  }
+
+  /// The row record `use` reads at `off` still holds what record `def`
+  /// wrote there: no record in between writes any of its bytes. A pattern
+  /// names each scratch row by offset, so two of its scratch rows sharing
+  /// a register would otherwise fuse a data flow the trace does not have.
+  [[nodiscard]] bool survives(usize def, usize use, u32 off) const noexcept {
+    for (usize k = def + 1; k < use; ++k) {
+      const auto [d, len] = written(at(k));
+      if (!disjoint(d, len, off, rb_)) return false;
+    }
+    return true;
+  }
+
   /// The 4-record column-parity chain both θ forms open with:
   ///   t0 = P3 ^ P4;  t1 = P1 ^ P2;  t2 = P0 ^ t1;  B(=t0) = t0 ^ t2
   /// with P0..P4 five ascending rb-strided planes. Returns (base, B, t1, t2).
+  /// t1 and t2 must leave t0 alone (t1 == t2 is harmless).
   struct Parity {
     u32 base, B, t1, t2;
   };
@@ -113,7 +142,8 @@ class Matcher {
         !is_vv(o3, TraceBinOp::kXor, sew, ne)) {
       return std::nullopt;
     }
-    if (o2.b != o1.d || o3.d != o0.d || o3.a != o0.d || o3.b != o2.d) {
+    if (o2.b != o1.d || o3.d != o0.d || o3.a != o0.d || o3.b != o2.d ||
+        !survives(i, i + 3, o0.d)) {
       return std::nullopt;
     }
     const u32 base = o2.a;
@@ -201,7 +231,10 @@ class Matcher {
     if (!is_vv(cx, TraceBinOp::kXor, 64, ne) || cx.a != su.d || cx.b != sd.d) {
       return std::nullopt;
     }
-    if (su.d == sd.d) return std::nullopt;
+    // sd reads B after su wrote; cx reads su's row after sd and ro wrote.
+    if (!survives(i + 3, i + 5, par->B) || !survives(i + 4, i + 7, su.d)) {
+      return std::nullopt;
+    }
     for (u32 s : {su.d, sd.d, cx.d}) {
       if (!disjoint(s, rb_, par->base, span)) return std::nullopt;
     }
@@ -257,6 +290,15 @@ class Matcher {
     }
     if (!match_applies(i + 16, 32, ne, lo->base, cl.d) ||
         !match_applies(i + 21, 32, ne, hi->base, ch.d)) {
+      return std::nullopt;
+    }
+    // The halves interleave, so every scratch row must survive the other
+    // half's writes until its last read.
+    if (!survives(i + 3, i + 10, lo->B) || !survives(i + 7, i + 11, hi->B) ||
+        !survives(i + 8, i + 14, sul.d) || !survives(i + 9, i + 15, suh.d) ||
+        !survives(i + 10, i + 13, sdl.d) || !survives(i + 11, i + 13, sdh.d) ||
+        !survives(i + 12, i + 14, rl.d) || !survives(i + 13, i + 15, rh.d) ||
+        !survives(i + 14, i + 20, cl.d) || !survives(i + 15, i + 25, ch.d)) {
       return std::nullopt;
     }
 

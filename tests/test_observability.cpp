@@ -5,8 +5,14 @@
 // (θ + ρπ + χι + absorb + other == total), the breakdown is bit-identical
 // across all three execution backends, and the loop-program totals agree
 // with the single-round measurements the paper's tables are built from.
+// Histogram quantiles must land within one bucket of the exact order
+// statistics, and engine counters read while workers retire jobs must never
+// show more retirements than submissions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -112,37 +118,48 @@ TEST(Metrics, PrometheusAndJsonExposition) {
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
 
-TEST(Metrics, SummaryQuantileExposition) {
-  obs::MetricsRegistry reg;
-  obs::Summary& s = reg.summary("lat_quantiles_ns", "latency quantiles");
-  const u64 token = s.bind([] {
-    obs::Summary::Snapshot snap;
-    snap.quantiles = {{0.5, 100.0}, {0.99, 900.0}, {0.999, 990.0}};
-    snap.count = 1000;
-    snap.sum = 123456.0;
-    return snap;
-  });
+TEST(Metrics, HistogramQuantilesWithinOneBucketOfExact) {
+  // A seeded, skewed sample (most values near 1 µs, a tail out to ~65 ms:
+  // 16 octaves) against the exact order statistics: each estimate must lie
+  // within the width of the bucket holding the exact value.
+  obs::Histogram h(obs::fine_latency_bounds_ns());
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.max(), 0u);
+  for (const double q : {0.0, 0.5, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(h.quantile(q), 0u) << q;
+  }
 
-  const std::string prom = reg.to_prometheus();
-  EXPECT_NE(prom.find("# TYPE lat_quantiles_ns summary"), std::string::npos);
-  EXPECT_NE(prom.find("lat_quantiles_ns{quantile=\"0.5\"} 100"),
-            std::string::npos);
-  EXPECT_NE(prom.find("lat_quantiles_ns{quantile=\"0.99\"} 900"),
-            std::string::npos);
-  EXPECT_NE(prom.find("lat_quantiles_ns{quantile=\"0.999\"} 990"),
-            std::string::npos);
-  EXPECT_NE(prom.find("lat_quantiles_ns_sum"), std::string::npos);
-  EXPECT_NE(prom.find("lat_quantiles_ns_count 1000"), std::string::npos);
+  SplitMix64 rng(0x9A17);
+  std::vector<u64> values(120'000);
+  for (u64& v : values) {
+    const double u = static_cast<double>(rng.below(1'000'000)) / 1e6;
+    v = static_cast<u64>(1000.0 * std::exp2(16.0 * u * u * u));
+    h.observe(v);
+  }
+  std::vector<u64> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(h.count(), values.size());
+  EXPECT_EQ(h.max(), sorted.back());
 
-  const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"summaries\""), std::string::npos);
-  EXPECT_NE(json.find("\"0.999\":990"), std::string::npos);
-  EXPECT_NE(json.find("\"count\":1000"), std::string::npos);
-
-  // Unbind freezes the final snapshot; the series must not vanish.
-  s.unbind(token);
-  EXPECT_NE(reg.to_prometheus().find("quantile=\"0.999\""),
-            std::string::npos);
+  const std::vector<u64>& bounds = h.bounds();
+  for (const double q : {0.5, 0.99, 0.999}) {
+    const auto rank = static_cast<usize>(
+        std::ceil(q * static_cast<double>(sorted.size())));
+    const u64 exact = sorted[rank - 1];
+    const auto up = std::lower_bound(bounds.begin(), bounds.end(), exact);
+    ASSERT_NE(up, bounds.begin());
+    ASSERT_NE(up, bounds.end());
+    const u64 width = *up - *(up - 1);
+    const u64 est = h.quantile(q);
+    EXPECT_LE(est > exact ? est - exact : exact - est, width)
+        << "q=" << q << " exact " << exact << " estimate " << est;
+    // One bucket is under 10% of the value: the estimate is that close.
+    EXPECT_LT(static_cast<double>(width), 0.1 * static_cast<double>(exact));
+  }
+  EXPECT_LE(h.quantile(0.5), h.quantile(0.99));
+  EXPECT_LE(h.quantile(0.99), h.quantile(0.999));
+  EXPECT_LE(h.quantile(0.999), h.max());
+  EXPECT_EQ(h.quantile(1.0), h.max());
 }
 
 TEST(Metrics, BuildInfoAndProcessMetricsExposition) {
@@ -358,6 +375,75 @@ TEST(EngineObservability, LatencyQuantilesOrderedAndThroughputDerived) {
   EXPECT_GE(reg.counter("kvx_engine_jobs_completed_total").value(),
             jobs.size());
   EXPECT_GE(reg.counter("kvx_engine_sim_cycles_total").value(), t.sim_cycles);
+}
+
+TEST(EngineObservability, ConcurrentObservationSeesConsistentCounters) {
+  // One thread reads stats(), in_flight() and the Prometheus scrape in a
+  // loop while 4 workers retire a stream of mixed jobs, some malformed.
+  // No snapshot may show more retirements than submissions; at quiescence
+  // the counters, the shard split and the latency count all agree.
+  using namespace engine;
+  constexpr usize kJobs = 50'000;
+  constexpr usize kChunk = 2'000;
+  constexpr Algo kAlgos[] = {Algo::kSha3_224, Algo::kSha3_256,
+                             Algo::kSha3_384, Algo::kSha3_512,
+                             Algo::kShake128, Algo::kShake256};
+  SplitMix64 rng(0xC0C0);
+  std::vector<HashJob> jobs(kJobs);
+  usize malformed = 0;
+  for (usize i = 0; i < kJobs; ++i) {
+    HashJob& job = jobs[i];
+    job.algo = kAlgos[rng.below(std::size(kAlgos))];
+    job.message.resize(rng.below(160));
+    for (u8& b : job.message) b = static_cast<u8>(rng.next());
+    const bool xof = fixed_digest_bytes(job.algo) == 0;
+    if (i % 97 == 0) {
+      ++malformed;  // an XOF without out_len, or a fixed digest with one
+      job.out_len = xof ? 0 : 7;
+    } else if (xof) {
+      job.out_len = 1 + rng.below(64);
+    }
+  }
+
+  EngineConfig cfg;
+  cfg.threads = 4;
+  cfg.accel = {core::Arch::k64Lmul8, 30, 24};
+  cfg.accel.backend = sim::ExecBackend::kJit;
+  BatchHashEngine eng(cfg);
+  auto& reg = obs::MetricsRegistry::global();
+
+  std::atomic<bool> stop{false};
+  std::atomic<u64> samples{0};
+  std::atomic<u64> violations{0};
+  std::thread observer([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const EngineStats st = eng.stats();
+      if (st.completed + st.failed > st.submitted) violations.fetch_add(1);
+      if (eng.in_flight() > kJobs) violations.fetch_add(1);
+      if (reg.to_prometheus().find("kvx_engine_job_latency_ns_bucket") ==
+          std::string::npos) {
+        violations.fetch_add(1);
+      }
+      samples.fetch_add(1);
+    }
+  });
+  for (usize first = 0; first < kJobs; first += kChunk) {
+    eng.submit_batch(std::span(jobs).subspan(first, kChunk));
+  }
+  const std::vector<JobResult> results = eng.drain_results();
+  stop.store(true, std::memory_order_release);
+  observer.join();
+
+  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_GT(samples.load(), 0u);
+  ASSERT_EQ(results.size(), kJobs);
+  const EngineStats st = eng.stats();
+  EXPECT_EQ(st.submitted, kJobs);
+  EXPECT_EQ(st.submitted, st.completed + st.failed);
+  EXPECT_EQ(st.failed, malformed);
+  EXPECT_EQ(st.totals().jobs, st.completed);
+  EXPECT_EQ(st.latency.count, st.submitted);
+  EXPECT_EQ(eng.in_flight(), 0u);
 }
 
 }  // namespace

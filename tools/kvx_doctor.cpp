@@ -20,7 +20,7 @@
 //   * every ring stores exactly min(written, capacity) events;
 //   * engine counters hold submitted >= completed + failed (equality is
 //     only guaranteed at quiescence, and a dump may be mid-flight), for
-//     both the Prometheus counters and every engine mirror;
+//     both the Prometheus counters and every engine's counter block;
 //   * trace-cache entries never exceed the artifacts ever compiled;
 //   * every injected backend demotion has fault-injector firings to blame
 //     (skipped when any ring wrapped or dropped events — the matching
@@ -287,7 +287,7 @@ int inspect(const std::string& path, bool check, usize last) {
   c.expect(submitted >= completed + failed,
            "counters submitted >= completed + failed", submitted,
            completed + failed);
-  // Engine mirrors hold the same invariant per engine.
+  // Each engine's counter block holds the same invariant.
   for (const obs::pm::DumpEngine& eng : dump.engines) {
     c.expect(eng.submitted >= eng.completed + eng.failed,
              "engine submitted >= completed + failed", eng.submitted,
