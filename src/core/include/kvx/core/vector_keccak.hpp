@@ -84,12 +84,21 @@ class VectorKeccak {
       const noexcept {
     return program_;
   }
-  [[nodiscard]] const sim::SimdProcessor& processor() const noexcept {
-    return *proc_;
-  }
+  /// The simulated machine as the last permute() left it: register file,
+  /// data memory and (interpreter tier) run statistics. A direct dispatch
+  /// leaves these pending; the first read after it rebuilds them from a
+  /// copy of that dispatch's input with the host-SIMD plan's full
+  /// execute(), bit-identical to the interpreter's (counted in
+  /// kvx_sim_materializations_total).
+  [[nodiscard]] const sim::SimdProcessor& processor() const;
 
   /// Permute up to SN states in place on the simulated accelerator.
   /// Throws kvx::Error when states.size() > SN.
+  ///
+  /// On the jit and host-simd tiers a direct plan (every shipped program)
+  /// takes the direct path: the states are transposed straight into the
+  /// packed kernels and back, with no staging through the simulated
+  /// machine (see processor()).
   ///
   /// Fail-soft: a SimError on any compiled tier (injected fault, replay
   /// fault, host-ISA drift under the jit) demotes THIS dispatch one tier
@@ -172,8 +181,8 @@ class VectorKeccak {
   /// Per-step cycle attribution of the last permute() run (θ/ρπ/χι plus
   /// loop overhead; see step_attribution.hpp). Bit-identical across the
   /// three backends: host-simd and jit pass through the marker stream
-  /// recorded from the interpreter, so their attribution is computed once
-  /// at compile time and reused.
+  /// recorded from the interpreter, so their attribution (like their
+  /// timing) is computed once at construction and reused.
   [[nodiscard]] const obs::StepCycleStats& last_step_cycles() const noexcept {
     return step_cycles_;
   }
@@ -187,11 +196,16 @@ class VectorKeccak {
   [[nodiscard]] u64 measure_permutation_cycles();
 
  private:
-  void stage_states(std::span<const keccak::State> states);
+  void stage_states(std::span<const keccak::State> states) const;
   void unstage_states(std::span<keccak::State> states) const;
-  /// Stage + execute one dispatch on `tier` (throws SimError on fault).
-  void run_backend(sim::ExecBackend tier,
-                   std::span<const keccak::State> states);
+  /// Execute one dispatch on `tier`, leaving the result in `states`
+  /// (throws SimError on fault, with `states` untouched).
+  void run_backend(sim::ExecBackend tier, std::span<keccak::State> states);
+  /// Rebuild the register file and data memory of a pending direct
+  /// dispatch (no-op when nothing is pending).
+  void materialize() const;
+  /// `hs` is a direct plan over this program's staged-state region.
+  [[nodiscard]] bool is_direct(const sim::HostSimdTrace& hs) const noexcept;
   void note_fallback(sim::ExecBackend from, sim::ExecBackend to,
                      const char* error);
 
@@ -201,12 +215,20 @@ class VectorKeccak {
   u32 state_base_ = 0;
   PermutationTiming timing_;
   obs::StepCycleStats step_cycles_;
-  /// Attribution of the immutable recorded marker stream, computed once at
+  /// Timing and attribution of the immutable recording, computed once at
   /// construction and reused by every host-simd and jit dispatch.
+  PermutationTiming trace_timing_;
   obs::StepCycleStats trace_step_cycles_;
   /// Reused staging scratch (one plane-major block); mutable because
   /// unstage_states() is logically const.
   mutable std::vector<u8> stage_block_;
+  /// The plan is direct: jit and host-simd dispatches take the direct path.
+  bool direct_ = false;
+  /// Input of the last direct dispatch (capacity SN, reused) and whether
+  /// the machine state is still pending on it; mutable because reading the
+  /// machine (processor()) materializes it.
+  mutable std::vector<keccak::State> pending_states_;
+  mutable bool pending_ = false;
   std::shared_ptr<const sim::HostSimdTrace> hs_;  ///< null = interpreter
   std::shared_ptr<const sim::JitTrace> jit_;      ///< kJit only
   std::atomic<sim::ExecBackend> last_backend_{sim::ExecBackend::kInterpreter};

@@ -6,6 +6,7 @@
 #include "kvx/common/error.hpp"
 #include "kvx/common/strings.hpp"
 #include "kvx/obs/flight_recorder.hpp"
+#include "kvx/obs/metrics.hpp"
 
 namespace kvx::core {
 
@@ -19,6 +20,14 @@ namespace {
 bool is_injected_error(const char* error) noexcept {
   return std::string_view(error).find("injected fault") !=
          std::string_view::npos;
+}
+
+obs::Counter& materializations_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter(
+      "kvx_sim_materializations_total",
+      "Register files and data memories rebuilt from a direct dispatch's "
+      "input because something read them");
+  return c;
 }
 
 sim::ProcessorConfig processor_config(const VectorKeccakConfig& c) {
@@ -93,6 +102,11 @@ VectorKeccak::VectorKeccak(const VectorKeccakConfig& config,
       if (tier == sim::ExecBackend::kJit) {
         jit_ = cache.get_or_compile_jit(program_->image,
                                         processor_config(config_), opts);
+        // The jit only runs the direct path, so its plan must stage
+        // exactly this program's state region.
+        if (!is_direct(jit_->host_simd())) {
+          throw SimError("jit: plan stages states outside the state symbol");
+        }
         // Demotion target of transient jit dispatch faults (including
         // host-ISA drift): the native code shares its host-SIMD plan, so
         // no extra cache round trip.
@@ -112,11 +126,21 @@ VectorKeccak::VectorKeccak(const VectorKeccakConfig& config,
   }
   last_backend_.store(active_backend(), std::memory_order_relaxed);
   if (hs_ != nullptr) {
-    // The marker stream was recorded once from the interpreter and is
-    // immutable; both trace-backed tiers pass it through verbatim, so its
-    // attribution can be computed here instead of on every dispatch.
+    // The recording is immutable and both trace-backed tiers pass its
+    // timing and marker stream through verbatim, so timing and attribution
+    // are computed here instead of on every dispatch.
+    trace_timing_.total_cycles = hs_->total_cycles();
+    trace_timing_.permutation_cycles =
+        hs_->cycles_between(Markers::kPermStart, Markers::kPermEnd);
+    trace_timing_.instructions = hs_->instructions();
     trace_step_cycles_ = attribute_step_cycles(hs_->markers());
+    direct_ = is_direct(*hs_);
+    if (direct_) pending_states_.reserve(config_.sn());
   }
+}
+
+bool VectorKeccak::is_direct(const sim::HostSimdTrace& hs) const noexcept {
+  return hs.direct_state_base() == state_base_ && hs.sn() == config_.sn();
 }
 
 void VectorKeccak::note_fallback(sim::ExecBackend from, sim::ExecBackend to,
@@ -130,7 +154,7 @@ void VectorKeccak::note_fallback(sim::ExecBackend from, sim::ExecBackend to,
       is_injected_error(error) ? 1 : 0, obs::flight_hash(error));
 }
 
-void VectorKeccak::stage_states(std::span<const keccak::State> states) {
+void VectorKeccak::stage_states(std::span<const keccak::State> states) const {
   // Plane-major layout (paper Figure 5): row y holds lane (x, y) of state s
   // at element 5s + x. Unused elements are zeroed. One lane is one aligned
   // 8-byte copy into a reused scratch block (lanes are little-endian u64s,
@@ -162,6 +186,20 @@ void VectorKeccak::unstage_states(std::span<keccak::State> states) const {
   }
 }
 
+const sim::SimdProcessor& VectorKeccak::processor() const {
+  materialize();
+  return *proc_;
+}
+
+void VectorKeccak::materialize() const {
+  if (!pending_) return;
+  pending_ = false;
+  stage_states(pending_states_);
+  proc_->vector().clear_registers();
+  hs_->execute(proc_->vector(), proc_->dmem(), proc_->config().cycle_model);
+  materializations_counter().inc();
+}
+
 void VectorKeccak::permute(std::span<keccak::State> states) {
   if (states.size() > config_.sn()) {
     throw Error(strfmt("permute: %zu states exceed SN=%u", states.size(),
@@ -174,15 +212,15 @@ void VectorKeccak::permute(std::span<keccak::State> states) {
       run_backend(tier, states);
       last_backend_.store(tier, std::memory_order_relaxed);
       dispatch_attempts_.push_back({tier, "", false});
-      unstage_states(states);
       return;
     } catch (const SimError& e) {
       dispatch_attempts_.push_back(
           {tier, e.what(), is_injected_error(e.what())});
       if (tier == sim::ExecBackend::kInterpreter) throw;
-      // run_backend restages the input states on entry, so whatever the
-      // faulted tier left in the register file or the staged-state region
-      // (including injected bit flips) cannot leak into the retry.
+      // A failed tier never writes the caller's states, and each retry
+      // restages them, so whatever the faulted tier left in the register
+      // file or the staged-state region (including injected bit flips)
+      // cannot leak into the retry.
       const sim::ExecBackend to = sim::demote_backend(tier);
       note_fallback(tier, to, e.what());
       tier = to;
@@ -191,42 +229,55 @@ void VectorKeccak::permute(std::span<keccak::State> states) {
 }
 
 void VectorKeccak::run_backend(sim::ExecBackend tier,
-                               std::span<const keccak::State> states) {
-  stage_states(states);
+                               std::span<keccak::State> states) {
   sim::FaultInjector* inj = config_.fault_injector.get();
-  const std::string tier_name(sim::backend_name(tier));
   std::optional<sim::FaultKind> fault;
   if (inj != nullptr) {
     fault = inj->draw(sim::FaultSite::kExecute);
-    if (fault == sim::FaultKind::kSimFault) inj->throw_sim_fault(tier_name);
+    if (fault == sim::FaultKind::kSimFault) {
+      inj->throw_sim_fault(std::string(sim::backend_name(tier)));
+    }
   }
-  if (tier == sim::ExecBackend::kJit) {
-    // Emitted native code over the host-SIMD plan; register file, data
-    // memory and (pass-through) timing are bit-identical to the host-simd
-    // tier — and hence the interpreter.
-    proc_->vector().clear_registers();
-    jit_->execute(proc_->vector(), proc_->dmem(),
-                  proc_->config().cycle_model);
-    timing_.total_cycles = jit_->total_cycles();
-    timing_.permutation_cycles =
-        jit_->cycles_between(Markers::kPermStart, Markers::kPermEnd);
-    timing_.instructions = jit_->instructions();
+  const auto corrupt = [&] {
+    // Detected corruption: flip one bit in the tier's output state, then
+    // raise — the demoted retry (or the caller's per-job error) takes over.
+    inj->corrupt(*fault, proc_->vector(), proc_->dmem(), state_base_,
+                 usize{5} * config_.ele_num * 8,
+                 std::string(sim::backend_name(tier)));
+  };
+  if (direct_ && tier != sim::ExecBackend::kInterpreter) {
+    // Direct path: the states go straight through the packed kernels. The
+    // register file and data memory stay pending on a copy of the input
+    // until something reads them (processor(), a fault to inject).
+    pending_states_.assign(states.begin(), states.end());
+    pending_ = true;
+    if (fault.has_value()) {
+      materialize();
+      corrupt();
+    }
+    if (tier == sim::ExecBackend::kJit) {
+      jit_->permute(states);
+    } else {
+      hs_->permute(states);
+    }
+    timing_ = trace_timing_;
     step_cycles_ = trace_step_cycles_;
-  } else if (tier == sim::ExecBackend::kHostSimd) {
+    return;
+  }
+  // Every other dispatch stages, runs and unstages the whole machine, so
+  // nothing is left pending.
+  pending_ = false;
+  stage_states(states);
+  proc_->vector().clear_registers();
+  if (tier == sim::ExecBackend::kHostSimd) {
     // Lowered segments on the host's own vector ISA plus replayed record
     // ranges; register file and data memory end up bit-identical to the
     // interpreter; timing passes through unchanged.
-    proc_->vector().clear_registers();
-    hs_->execute(proc_->vector(), proc_->dmem(),
-                 proc_->config().cycle_model);
-    timing_.total_cycles = hs_->total_cycles();
-    timing_.permutation_cycles =
-        hs_->cycles_between(Markers::kPermStart, Markers::kPermEnd);
-    timing_.instructions = hs_->instructions();
+    hs_->execute(proc_->vector(), proc_->dmem(), proc_->config().cycle_model);
+    timing_ = trace_timing_;
     step_cycles_ = trace_step_cycles_;
   } else {
     proc_->reset_run_state();
-    proc_->vector().clear_registers();
     if (inj != nullptr && inj->plan().at_instruction != 0) {
       // Site-addressed synthetic fault: throw out of the interpreter at a
       // chosen executed-instruction index (one-shot). The hook is cleared
@@ -255,12 +306,8 @@ void VectorKeccak::run_backend(sim::ExecBackend tier,
     timing_.instructions = proc_->stats().instructions;
     step_cycles_ = attribute_step_cycles(proc_->markers());
   }
-  if (fault.has_value()) {
-    // Detected corruption: flip one bit in the tier's output state, then
-    // raise — the demoted retry (or the caller's per-job error) takes over.
-    inj->corrupt(*fault, proc_->vector(), proc_->dmem(), state_base_,
-                 usize{5} * config_.ele_num * 8, tier_name);
-  }
+  if (fault.has_value()) corrupt();
+  unstage_states(states);
 }
 
 u64 VectorKeccak::measure_round_cycles() const {

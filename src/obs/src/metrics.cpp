@@ -407,8 +407,14 @@ std::string MetricsRegistry::to_prometheus() const {
         break;
       case MetricSample::Kind::kGauge:
         out += s.name;
-        if (!s.labels.empty()) out += "{" + s.labels + "}";
-        out += " " + format_double(s.gauge_value) + "\n";
+        if (!s.labels.empty()) {
+          out += '{';
+          out += s.labels;
+          out += '}';
+        }
+        out += ' ';
+        out += format_double(s.gauge_value);
+        out += '\n';
         break;
       case MetricSample::Kind::kHistogram: {
         for (usize i = 0; i < s.bounds.size(); ++i) {
@@ -466,8 +472,11 @@ std::string MetricsRegistry::to_json() const {
           histograms += ",\"exemplars\":[";
           for (usize i = 0; i < s.exemplars.size(); ++i) {
             if (i != 0) histograms += ',';
-            histograms += "[" + std::to_string(s.exemplars[i].value) + "," +
-                          std::to_string(s.exemplars[i].flight_seq) + "]";
+            histograms += '[';
+            histograms += std::to_string(s.exemplars[i].value);
+            histograms += ',';
+            histograms += std::to_string(s.exemplars[i].flight_seq);
+            histograms += ']';
           }
           histograms += "]";
         }

@@ -33,20 +33,29 @@
 // each lane into one u64 lane (hi << 32 | lo), split unpack separates them
 // again, so the segment body is identical to a 64-bit one.
 //
-// Whole-plane transposed loads/stores happen only at segment boundaries
-// (absorb/squeeze edges of the lowered run): the plan marks, per segment,
-// the LAST super-kernel that writes each regfile location and materializes
-// exactly those values back, so the register file after execute() is
-// bit-identical to a full replay's — inter-segment replay ranges (the state
-// load and stores) read exactly what they would have under the
-// interpreter. A kernel whose fused op has live-out scratch (the final
-// round's θ and χ, see trace_fusion.hpp) writes those rows from the packed
-// state just before it runs, through write_scratch_rows, so all 24 rounds
-// of a paper plan stay in one segment. Records the plan does not lower
-// replay unchanged — an unlowered step rewrites its scratch rows exactly as
-// the interpreter would — so the backend is correct on arbitrary programs;
-// a trace with nothing to lower (the pure-RVV ablation) is an all-replay
-// plan.
+// Two ways to run a plan:
+//
+//   permute()  the direct path, for plans whose shape lowering confirmed
+//              as [state-load replay][one segment][state-store replay]
+//              (every shipped Keccak program lowers to it). The caller's
+//              states are transposed straight into the packed form, the
+//              segment's kernels run with no regfile side effects, and the
+//              result is transposed straight back. The register file and
+//              data memory are left untouched.
+//   execute()  the full plan against a simulator register file and data
+//              memory, bit-identical to the interpreter: replay ranges run
+//              from the recording, whole-plane transposes happen at
+//              segment edges, the plan marks per segment the LAST kernel
+//              that writes each regfile location and materializes exactly
+//              those values back, and a kernel whose fused op has live-out
+//              scratch (the final round's θ and χ, see trace_fusion.hpp)
+//              writes those rows from the packed state before it runs
+//              (write_scratch_rows). Records the plan does not lower replay
+//              unchanged, so execute() is correct on arbitrary programs; a
+//              trace with nothing to lower (the pure-RVV ablation) is an
+//              all-replay plan. VectorKeccak runs it only when something
+//              reads the machine state of a direct dispatch, on a copy of
+//              that dispatch's input.
 //
 // The host ISA is picked once per process by CPUID at dispatch time
 // (AVX-512F → AVX2 → portable → scalar), overridable with the
@@ -59,7 +68,9 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
+#include "kvx/keccak/state.hpp"
 #include "kvx/sim/trace_fusion.hpp"
 
 namespace kvx::sim {
@@ -135,6 +146,16 @@ void host_simd_pack_split(const u8* file, u32 lo_loc, u32 hi_loc, u32 rb,
 void host_simd_unpack_split(u8* file, u32 lo_loc, u32 hi_loc, u32 rb, u32 sn,
                             u32 s0, u32 pack, const u64* buf) noexcept;
 
+/// Transpose caller states [s0, s0 + pack) of `states` (n of them) into the
+/// packed buffer: buf[(5y + x)·pack + p] = lane (x, y) of state s0 + p.
+/// States at or beyond `n` are zero-filled.
+void host_simd_pack_states(const keccak::State* states, u32 n, u32 s0,
+                           u32 pack, u64* buf) noexcept;
+
+/// Inverse: write the packed lanes back to states [s0, min(s0 + pack, n)).
+void host_simd_unpack_states(keccak::State* states, u32 n, u32 s0, u32 pack,
+                             const u64* buf) noexcept;
+
 // ---------------------------------------------------------------------------
 // Lowered plan.
 // ---------------------------------------------------------------------------
@@ -174,14 +195,31 @@ struct HostSimdItem {
 
 /// An immutable host-SIMD plan over a fused trace (which owns the base
 /// recording). Thread-safe to share: execute() only mutates the
-/// VectorUnit/Memory it is handed (the segment runners use stack-resident
-/// packed state only).
+/// VectorUnit/Memory it is handed and permute() only the caller's states
+/// (the segment runners use stack-resident packed state only).
 class HostSimdTrace {
  public:
   /// Run the plan against `vu`'s register file and `mem`, staged exactly as
   /// for an interpreter run. Register file and data memory end up
   /// bit-identical to the interpreter's; timing is the recorded one.
   void execute(VectorUnit& vu, Memory& mem, const CycleModel& cm) const;
+
+  /// Direct path of a direct plan (see direct_state_base()): permute up to
+  /// sn() states in place, with exactly the result execute() leaves in the
+  /// staged-state region for them (zero-padded to SN). Writes no register
+  /// file or data memory.
+  void permute(std::span<keccak::State> states) const;
+
+  /// Data-memory address of the staged-state region when lowering
+  /// confirmed the direct shape: the items are [replay][one segment]
+  /// [replay], the first replay only loads, filling every byte of the
+  /// segment's input planes from that region in the plane-major layout
+  /// (64-bit lanes, row y at y·40·SN), and the last replay only stores,
+  /// writing every byte of the region from the final kernel's output
+  /// planes and nothing outside it. nullopt for every other plan.
+  [[nodiscard]] std::optional<u32> direct_state_base() const noexcept {
+    return direct_base_;
+  }
 
   // --- recorded timing (passes through to the base trace) ---
   [[nodiscard]] u64 total_cycles() const noexcept {
@@ -228,10 +266,11 @@ class HostSimdTrace {
   /// Keccak states per simulated register row (the engine's SN); 0 for an
   /// all-replay plan.
   [[nodiscard]] u32 sn() const noexcept { return sn_; }
-  /// Add one dispatch's transposes, at `groups` pack-width groups per
-  /// segment, to kvx_hostsimd_{packs,unpacks}_total. Both native tiers
-  /// (this one and the jit) count through here.
-  void count_transposes(u32 groups) const;
+  /// Add one direct dispatch's `groups` state-group transposes (one into
+  /// the packed form and one back per group) to
+  /// kvx_hostsimd_{packs,unpacks}_total. Both direct paths (this one and
+  /// the jit) count through here.
+  void count_direct_transposes(u32 groups) const;
   /// Approximate heap bytes of this plan alone (the fused trace and base
   /// recording are accounted separately).
   [[nodiscard]] usize memory_bytes() const noexcept {
@@ -250,6 +289,7 @@ class HostSimdTrace {
   usize segments_ = 0;
   usize unpack_marks_ = 0;  ///< kernels with the unpack flag (obs accounting)
   u32 sn_ = 0;
+  std::optional<u32> direct_base_;
 };
 
 /// Build the host-SIMD plan for `fused`. A trace with nothing to lower (no

@@ -2,13 +2,13 @@
 // minimal fixed-allowlist encoder, and the matching length-decoder.
 //
 // The encoder deliberately supports ONLY the instruction forms the trace
-// emitter needs (see jit_trace.cpp): a handful of GPR forms for the
-// prologue/epilogue and shim calls, VEX-encoded 256-bit AVX2 forms, and
-// EVEX-encoded 512-bit AVX-512F forms. Memory operands are restricted to
-// [rsp + disp32] (the packed-state buffers live in the frame) and
-// [rip + disp32] (the trailing round-constant literal pool); EVEX memory
-// forms always use disp32, never the compressed disp8·N form, so every
-// emitted byte sequence has exactly one shape per mnemonic.
+// emitter needs (see jit_trace.cpp): `ret`, `vzeroupper`, VEX-encoded
+// 256-bit AVX2 forms and EVEX-encoded 512-bit AVX-512F forms. Memory
+// operands are restricted to [rdi + disp32] (the caller's packed-state
+// buffer, the emitted function's one argument) and [rip + disp32] (the
+// trailing round-constant literal pool); EVEX memory forms always use
+// disp32, never the compressed disp8·N form, so every emitted byte sequence
+// has exactly one shape per mnemonic.
 //
 // jit_decode_one() is the test oracle for that discipline: it walks the
 // same allowlist and refuses anything outside it, so the disassembly
@@ -66,42 +66,22 @@ class JitCodeBuffer {
 // Encoder.
 // ---------------------------------------------------------------------------
 
-/// GPR numbers used by the emitter (SysV argument/scratch registers plus the
-/// callee-saved frame registers).
-inline constexpr unsigned kRax = 0, kRcx = 1, kRdx = 2, kRbx = 3, kRsp = 4,
-                          kRbp = 5, kRsi = 6, kRdi = 7, kR12 = 12;
-
-/// Emits into a growable byte vector; finalize() resolves the jnz and
-/// literal-pool fixups once the layout is complete. Vector register numbers
-/// are 0–15 for the VEX (ymm) forms and 0–31 for the EVEX (zmm) forms.
+/// Appends to a growable byte vector; finalize() resolves the literal-pool
+/// fixups once the layout is complete. Vector register numbers are 0–15
+/// for the VEX (ymm) forms and 0–31 for the EVEX (zmm) forms; memory
+/// operands are byte displacements from rdi.
 class JitAssembler {
  public:
-  // --- GPR / control flow ---
-  void push_r64(unsigned r);
-  void pop_r64(unsigned r);
-  void mov_rr64(unsigned dst, unsigned src);
-  void mov_ri32(unsigned dst, u32 imm);   ///< dst < 8 (no REX form)
-  void mov_ri64(unsigned dst, u64 imm);   ///< movabs
-  void sub_rsp_imm32(u32 imm);
-  void and_rsp_imm8(i8 imm);
-  void lea_rbp_disp8(unsigned dst, i8 disp);    ///< lea dst, [rbp + disp8]
-  void lea_rsp_disp32(unsigned dst, i32 disp);  ///< lea dst, [rsp + disp32]
-  void call_rax();
-  void test_eax_eax();
-  /// Emit `jnz rel32` with a zero placeholder; bind_jnz_targets() patches
-  /// every recorded site to `target` (the shared epilogue label).
-  void jnz_placeholder();
-  void bind_jnz_targets(usize target);
   void ret();
   void vzeroupper();
 
   // --- VEX 256-bit (AVX2) ---
-  void vex_load(unsigned dst, i32 rsp_disp);   ///< vmovdqu ymm, [rsp+d]
-  void vex_store(unsigned src, i32 rsp_disp);  ///< vmovdqu [rsp+d], ymm
+  void vex_load(unsigned dst, i32 disp);   ///< vmovdqu ymm, [rdi+d]
+  void vex_store(unsigned src, i32 disp);  ///< vmovdqu [rdi+d], ymm
   /// vpxor (0xEF) / vpand (0xDB) / vpandn (0xDF) / vpor (0xEB): dst = a op b.
   void vex_rrr(u8 opcode, unsigned dst, unsigned a, unsigned b);
-  /// Same ops with the second source in memory: dst = a op [rsp+d].
-  void vex_rrm(u8 opcode, unsigned dst, unsigned a, i32 rsp_disp);
+  /// Same ops with the second source in memory: dst = a op [rdi+d].
+  void vex_rrm(u8 opcode, unsigned dst, unsigned a, i32 disp);
   /// vpsllq (reg field 6) / vpsrlq (reg field 2): dst = src shift imm.
   void vex_shift_imm(unsigned reg_field, unsigned dst, unsigned src, u8 imm);
   /// vpbroadcastq ymm, [rip + literal]; the displacement is fixed up in
@@ -109,8 +89,8 @@ class JitAssembler {
   void vex_broadcast_lit(unsigned dst, u32 lit_index);
 
   // --- EVEX 512-bit (AVX-512F) ---
-  void evex_load(unsigned dst, i32 rsp_disp);   ///< vmovdqu64 zmm, [rsp+d]
-  void evex_store(unsigned src, i32 rsp_disp);  ///< vmovdqu64 [rsp+d], zmm
+  void evex_load(unsigned dst, i32 disp);   ///< vmovdqu64 zmm, [rdi+d]
+  void evex_store(unsigned src, i32 disp);  ///< vmovdqu64 [rdi+d], zmm
   void evex_mov_rr(unsigned dst, unsigned src); ///< vmovdqu64 zmm, zmm
   void evex_vpxorq(unsigned dst, unsigned a, unsigned b);
   void evex_vpternlogq(unsigned dst, unsigned a, unsigned b, u8 imm);
@@ -120,9 +100,6 @@ class JitAssembler {
   // --- literal pool ---
   /// Intern a 64-bit constant; returns its pool index (deduplicated).
   u32 add_literal(u64 value);
-
-  /// Current emission offset (label positions for bind_jnz_targets).
-  [[nodiscard]] usize pos() const noexcept { return code_.size(); }
 
   /// Patch all pending fixups and append the 8-byte-aligned literal pool.
   /// Returns the finished byte image; code_size() is the decodable prefix
@@ -136,8 +113,7 @@ class JitAssembler {
  private:
   void byte(u8 b) { code_.push_back(b); }
   void imm32(u32 v);
-  void imm64(u64 v);
-  void rsp_mem_operand(unsigned reg_field, i32 disp);
+  void rdi_mem_operand(unsigned reg_field, i32 disp);
   void rip_lit_operand(unsigned reg_field, u32 lit_index);
   void vex3(unsigned reg, unsigned rm_reg, u8 mmmmm, u8 w, unsigned vvvv,
             u8 l, u8 pp);
@@ -145,7 +121,6 @@ class JitAssembler {
 
   std::vector<u8> code_;
   std::vector<u64> literals_;
-  std::vector<usize> jnz_fixups_;  ///< offsets of jnz rel32 fields
   struct LitFixup {
     usize disp_pos;  ///< offset of the disp32 field
     u32 lit_index;

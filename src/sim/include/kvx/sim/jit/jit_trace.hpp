@@ -2,44 +2,39 @@
 //
 // The host-SIMD tier (host_simd.hpp) already plans the recorded trace into
 // straight-line θ/ρπ/χι segments over lane-major packed state, but still
-// walks the plan with indirect dispatch on every item/kernel. This backend
-// removes that last layer: lower_jit() emits the WHOLE plan as one
-// contiguous x86-64 function into an mmap'd W^X code buffer, laid out as
+// walks the plan with indirect dispatch on every kernel. This backend
+// removes that last layer for direct plans — [state-load replay][one
+// segment][state-store replay], the shape every shipped Keccak program
+// lowers to: lower_jit() emits the segment as one contiguous x86-64
+// function into an mmap'd W^X code buffer,
 //
-//   prologue      frame setup, ctx pointer pinned in rbx, 64-byte-aligned
-//                 packed-state buffers carved from the stack
-//   round bodies  per segment × pack-width group: a call to the packed
-//                 transpose shim, then fully unrolled θ/ρπ/χι machine code —
-//                 AVX-512F: state resident in zmm0–24, vpternlogq 0x96/0xD2
-//                 folds the XOR trees and Chi, vprolq bakes the ρ rotations,
-//                 π is pure register renaming via an in-place cycle walk;
-//                 AVX2: memory-resident double-buffered state with
-//                 shift/shift/or rotates — with spill/reload around the
-//                 last-writer unpack shim calls and the scratch shim calls
-//                 that write a kernel's live-out scratch rows (the SysV ABI
-//                 makes every vector register caller-saved)
+//   void fn(u64* buf)   buf = one pack-width group of packed states
+//                       (host_simd_pack_states layout), 64-byte aligned,
+//                       1600 bytes; permuted in place
+//
+// laid out as
+//
+//   round bodies  fully unrolled θ/ρπ/χι machine code — AVX-512F: state
+//                 loaded into zmm0–24 at entry and stored back at exit,
+//                 vpternlogq 0x96/0xD2 folds the XOR trees and Chi, vprolq
+//                 bakes the ρ rotations, π is pure register renaming via an
+//                 in-place cycle walk; AVX2: buffer-resident state double-
+//                 buffered across ρπ, shift/shift/or rotates
 //   literal pool  ι round constants, reached rip-relative by vpbroadcastq
 //
-// A split segment (the 32-bit arch's lo/hi halves, see host_simd.hpp) emits
-// the same round bodies; only its transpose calls differ: the split shims
-// join and separate the lo/hi words, and receive both plane offsets.
-//
-// A paper plan is one segment for all 24 rounds: the final round's live-out
-// θ/χ scratch goes through the scratch shim, which runs the same
-// write_scratch_rows as the host-SIMD tier. The plan's replay ranges (the
-// state load/store, short runs) call CompiledTrace::replay through a shim
-// that traps C++ exceptions into the ctx and returns nonzero, which the
-// emitted code turns into a branch to the epilogue — execute() then
-// rethrows, and the caller demotes per the chain (jit → host-simd →
-// interpreter).
+// The function touches nothing but the buffer: no calls, no stack frame,
+// no regfile. A split segment (the 32-bit arch's lo/hi halves) emits the
+// same bodies, since the caller's states are already whole 64-bit lanes.
+// permute() transposes the caller's states group by group through it; the
+// register file and data memory a dispatch would leave are produced, when
+// something reads them, by the shared host-SIMD plan's execute().
 //
 // The emission ISA is resolved by the same dispatcher the host-SIMD tier
 // uses (host_simd_dispatch_isa: CPUID, KVX_HOST_SIMD_ISA, test pins,
 // SN-narrowing); scalar/portable resolutions — and non-x86-64 hosts,
-// all-replay plans with nothing to emit, and mmap/mprotect refusals — throw
-// SimError so construction demotes cleanly.
-// Cycle accounting passes through to the recorded interpreter totals,
-// bit-identical, exactly like every other trace-backed tier.
+// plans that are not direct (nothing lowered, or any other shape), and
+// mmap/mprotect refusals — throw SimError so construction demotes cleanly
+// to host-simd.
 #pragma once
 
 #include "kvx/sim/host_simd.hpp"
@@ -50,37 +45,18 @@ namespace kvx::sim {
 /// True when this build can emit native code at all (x86-64 with mmap).
 [[nodiscard]] bool jit_supported() noexcept;
 
-/// An immutable native compilation of a host-SIMD plan. Thread-safe to
-/// share: the code buffer is sealed read+execute before publication and the
-/// emitted function only mutates the VectorUnit/Memory it is handed
-/// (packed state lives in the caller's stack frame).
+/// An immutable native compilation of a direct host-SIMD plan. Thread-safe
+/// to share: the code buffer is sealed read+execute before publication and
+/// the emitted function only mutates the buffer it is handed (which lives
+/// in permute()'s stack frame).
 class JitTrace {
  public:
-  /// Same contract as HostSimdTrace::execute — identical register file,
-  /// data memory and (pass-through) cycle accounting. Throws SimError if
-  /// the dispatch ISA no longer matches the one this trace was emitted for
-  /// (e.g. a test pin changed) — the caller demotes to host-simd.
-  void execute(VectorUnit& vu, Memory& mem, const CycleModel& cm) const;
-
-  // --- recorded timing (passes through to the base trace) ---
-  [[nodiscard]] u64 total_cycles() const noexcept {
-    return hs_->total_cycles();
-  }
-  [[nodiscard]] u64 instructions() const noexcept {
-    return hs_->instructions();
-  }
-  [[nodiscard]] const RunStats& run_stats() const noexcept {
-    return hs_->run_stats();
-  }
-  [[nodiscard]] const std::vector<Marker>& markers() const noexcept {
-    return hs_->markers();
-  }
-  [[nodiscard]] u64 cycles_between(u32 from, u32 to) const {
-    return hs_->cycles_between(from, to);
-  }
-  [[nodiscard]] const std::array<u32, 32>& final_scalar_regs() const noexcept {
-    return hs_->final_scalar_regs();
-  }
+  /// Same contract as HostSimdTrace::permute — the states end up exactly as
+  /// the plan's execute() leaves them in the staged-state region. Throws
+  /// SimError, before touching a state, if the dispatch ISA no longer
+  /// matches the one this trace was emitted for (e.g. a test pin changed) —
+  /// the caller demotes to host-simd.
+  void permute(std::span<keccak::State> states) const;
 
   /// Shared ownership of the host-SIMD plan — the demotion target
   /// (jit → host-simd) without a second trace-cache round trip.
@@ -120,12 +96,11 @@ class JitTrace {
   usize literals_ = 0;
   HostSimdIsa isa_ = HostSimdIsa::kAvx2;
   u32 pack_ = 0;
-  u32 groups_ = 0;
 };
 
 /// Emit native code for `hs` at the ISA host_simd_dispatch_isa(hs->sn())
 /// resolves to right now. Throws kvx::SimError when emission is impossible
-/// (non-x86-64 build, a plan without lowered segments, scalar/portable ISA
+/// (non-x86-64 build, a plan that is not direct, scalar/portable ISA
 /// resolution, mmap/mprotect failure) — the caller demotes to the host-SIMD
 /// tier.
 [[nodiscard]] std::shared_ptr<const JitTrace> lower_jit(

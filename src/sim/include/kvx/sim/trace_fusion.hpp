@@ -85,7 +85,8 @@ struct ScratchRow {
 /// their packed input lanes: buf[(5y + x)·pack + p] = lane (x, y) of state
 /// s0 + p, the layout of host_simd_pack / host_simd_pack_split (a split
 /// lane joins hi << 32 | lo), with `pack` at most 16 (the widest SN the
-/// matcher fuses). The one writer the host-simd and jit tiers share.
+/// matcher fuses). Run by the host-SIMD plan's full execute() only: the
+/// direct path produces no register file.
 void write_scratch_rows(u8* file, u32 sn, u32 s0, u32 pack, const u64* buf,
                         const ScratchRow* rows, u32 count) noexcept;
 

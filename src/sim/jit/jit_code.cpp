@@ -81,99 +81,15 @@ void JitCodeBuffer::seal() {
 // Encoder
 // ---------------------------------------------------------------------------
 
+namespace {
+constexpr unsigned kRdi = 7;  ///< base register of every [reg + disp32] form
+}  // namespace
+
 void JitAssembler::imm32(u32 v) {
   byte(static_cast<u8>(v));
   byte(static_cast<u8>(v >> 8));
   byte(static_cast<u8>(v >> 16));
   byte(static_cast<u8>(v >> 24));
-}
-
-void JitAssembler::imm64(u64 v) {
-  imm32(static_cast<u32>(v));
-  imm32(static_cast<u32>(v >> 32));
-}
-
-void JitAssembler::push_r64(unsigned r) {
-  if (r >= 8) byte(0x41);
-  byte(static_cast<u8>(0x50 + (r & 7)));
-}
-
-void JitAssembler::pop_r64(unsigned r) {
-  if (r >= 8) byte(0x41);
-  byte(static_cast<u8>(0x58 + (r & 7)));
-}
-
-void JitAssembler::mov_rr64(unsigned dst, unsigned src) {
-  byte(static_cast<u8>(0x48 | ((src >= 8) ? 4 : 0) | ((dst >= 8) ? 1 : 0)));
-  byte(0x89);
-  byte(static_cast<u8>(0xC0 | ((src & 7) << 3) | (dst & 7)));
-}
-
-void JitAssembler::mov_ri32(unsigned dst, u32 imm) {
-  KVX_CHECK_MSG(dst < 8, "mov_ri32 only encodes the low GPRs");
-  byte(static_cast<u8>(0xB8 + dst));
-  imm32(imm);
-}
-
-void JitAssembler::mov_ri64(unsigned dst, u64 imm) {
-  byte(static_cast<u8>(0x48 | ((dst >= 8) ? 1 : 0)));
-  byte(static_cast<u8>(0xB8 + (dst & 7)));
-  imm64(imm);
-}
-
-void JitAssembler::sub_rsp_imm32(u32 imm) {
-  byte(0x48);
-  byte(0x81);
-  byte(0xEC);
-  imm32(imm);
-}
-
-void JitAssembler::and_rsp_imm8(i8 imm) {
-  byte(0x48);
-  byte(0x83);
-  byte(0xE4);
-  byte(static_cast<u8>(imm));
-}
-
-void JitAssembler::lea_rbp_disp8(unsigned dst, i8 disp) {
-  byte(static_cast<u8>(0x48 | ((dst >= 8) ? 4 : 0)));
-  byte(0x8D);
-  byte(static_cast<u8>(0x40 | ((dst & 7) << 3) | kRbp));
-  byte(static_cast<u8>(disp));
-}
-
-void JitAssembler::lea_rsp_disp32(unsigned dst, i32 disp) {
-  byte(static_cast<u8>(0x48 | ((dst >= 8) ? 4 : 0)));
-  byte(0x8D);
-  byte(static_cast<u8>(0x80 | ((dst & 7) << 3) | kRsp));
-  byte(0x24);  // SIB: no index, base = rsp
-  imm32(static_cast<u32>(disp));
-}
-
-void JitAssembler::call_rax() {
-  byte(0xFF);
-  byte(0xD0);
-}
-
-void JitAssembler::test_eax_eax() {
-  byte(0x85);
-  byte(0xC0);
-}
-
-void JitAssembler::jnz_placeholder() {
-  byte(0x0F);
-  byte(0x85);
-  jnz_fixups_.push_back(code_.size());
-  imm32(0);
-}
-
-void JitAssembler::bind_jnz_targets(usize target) {
-  for (const usize pos : jnz_fixups_) {
-    const i64 rel = static_cast<i64>(target) - static_cast<i64>(pos + 4);
-    const u32 v = static_cast<u32>(static_cast<i32>(rel));
-    std::memcpy(code_.data() + pos, &v, 4);
-  }
-  jnz_fixups_.clear();
 }
 
 void JitAssembler::ret() { byte(0xC3); }
@@ -187,9 +103,8 @@ void JitAssembler::vzeroupper() {
   byte(0x77);
 }
 
-void JitAssembler::rsp_mem_operand(unsigned reg_field, i32 disp) {
-  byte(static_cast<u8>(0x80 | ((reg_field & 7) << 3) | kRsp));
-  byte(0x24);  // SIB: no index, base = rsp
+void JitAssembler::rdi_mem_operand(unsigned reg_field, i32 disp) {
+  byte(static_cast<u8>(0x80 | ((reg_field & 7) << 3) | kRdi));  // mod=10
   imm32(static_cast<u32>(disp));
 }
 
@@ -222,16 +137,16 @@ void JitAssembler::evex(unsigned reg, unsigned rm_reg, u8 mm, u8 w,
   byte(static_cast<u8>(0x40u | (((vvvv >> 4) & 1u ? 0u : 1u) << 3)));
 }
 
-void JitAssembler::vex_load(unsigned dst, i32 rsp_disp) {
-  vex3(dst, kRsp, 1, 0, 0, 1, 2);  // F3 0F, L=256
+void JitAssembler::vex_load(unsigned dst, i32 disp) {
+  vex3(dst, kRdi, 1, 0, 0, 1, 2);  // F3 0F, L=256
   byte(0x6F);
-  rsp_mem_operand(dst, rsp_disp);
+  rdi_mem_operand(dst, disp);
 }
 
-void JitAssembler::vex_store(unsigned src, i32 rsp_disp) {
-  vex3(src, kRsp, 1, 0, 0, 1, 2);
+void JitAssembler::vex_store(unsigned src, i32 disp) {
+  vex3(src, kRdi, 1, 0, 0, 1, 2);
   byte(0x7F);
-  rsp_mem_operand(src, rsp_disp);
+  rdi_mem_operand(src, disp);
 }
 
 void JitAssembler::vex_rrr(u8 opcode, unsigned dst, unsigned a, unsigned b) {
@@ -240,10 +155,10 @@ void JitAssembler::vex_rrr(u8 opcode, unsigned dst, unsigned a, unsigned b) {
   byte(static_cast<u8>(0xC0 | ((dst & 7) << 3) | (b & 7)));
 }
 
-void JitAssembler::vex_rrm(u8 opcode, unsigned dst, unsigned a, i32 rsp_disp) {
-  vex3(dst, kRsp, 1, 0, a, 1, 1);
+void JitAssembler::vex_rrm(u8 opcode, unsigned dst, unsigned a, i32 disp) {
+  vex3(dst, kRdi, 1, 0, a, 1, 1);
   byte(opcode);
-  rsp_mem_operand(dst, rsp_disp);
+  rdi_mem_operand(dst, disp);
 }
 
 void JitAssembler::vex_shift_imm(unsigned reg_field, unsigned dst,
@@ -261,16 +176,16 @@ void JitAssembler::vex_broadcast_lit(unsigned dst, u32 lit_index) {
   rip_lit_operand(dst, lit_index);
 }
 
-void JitAssembler::evex_load(unsigned dst, i32 rsp_disp) {
-  evex(dst, kRsp, 1, 1, 0, 2);  // F3 0F.W1
+void JitAssembler::evex_load(unsigned dst, i32 disp) {
+  evex(dst, kRdi, 1, 1, 0, 2);  // F3 0F.W1
   byte(0x6F);
-  rsp_mem_operand(dst, rsp_disp);
+  rdi_mem_operand(dst, disp);
 }
 
-void JitAssembler::evex_store(unsigned src, i32 rsp_disp) {
-  evex(src, kRsp, 1, 1, 0, 2);
+void JitAssembler::evex_store(unsigned src, i32 disp) {
+  evex(src, kRdi, 1, 1, 0, 2);
   byte(0x7F);
-  rsp_mem_operand(src, rsp_disp);
+  rdi_mem_operand(src, disp);
 }
 
 void JitAssembler::evex_mov_rr(unsigned dst, unsigned src) {
@@ -317,7 +232,6 @@ u32 JitAssembler::add_literal(u64 value) {
 }
 
 std::vector<u8> JitAssembler::finalize() {
-  KVX_CHECK_MSG(jnz_fixups_.empty(), "unbound jnz fixups at finalize");
   code_size_ = code_.size();
   std::vector<u8> out = code_;
   // 8-align the literal pool; the padding sits past code_size() so the
@@ -344,7 +258,7 @@ std::vector<u8> JitAssembler::finalize() {
 
 namespace {
 
-/// modrm/SIB/displacement length for the two memory shapes the encoder can
+/// modrm/displacement length for the two memory shapes the encoder can
 /// produce, plus register-direct. Returns 0 for anything else.
 u32 modrm_tail_len(const u8* p, usize n) {
   if (n < 1) return 0;
@@ -353,10 +267,7 @@ u32 modrm_tail_len(const u8* p, usize n) {
   const u8 rm = static_cast<u8>(modrm & 7);
   if (mod == 3) return 1;                      // register direct
   if (mod == 0 && rm == 5) return n >= 5 ? 5 : 0;  // [rip + disp32]
-  if (mod == 2 && rm == 4) {                   // [rsp + disp32] via SIB
-    if (n < 6 || p[1] != 0x24) return 0;
-    return 6;
-  }
+  if (mod == 2 && rm == 7) return n >= 5 ? 5 : 0;  // [rdi + disp32]
   return 0;
 }
 
@@ -438,70 +349,14 @@ std::optional<JitDecodedInsn> decode_evex(const u8* p, usize n) {
   return std::nullopt;
 }
 
-std::optional<JitDecodedInsn> decode_gpr(const u8* p, usize n, u32 rex_len) {
-  const bool rex_w = rex_len != 0 && (p[0] & 0x08) != 0;
-  const u8* q = p + rex_len;
-  const usize left = n - rex_len;
-  if (left < 1) return std::nullopt;
-  const u8 op = q[0];
-  if (op >= 0x50 && op <= 0x57) return JitDecodedInsn{rex_len + 1, "push"};
-  if (op >= 0x58 && op <= 0x5F) return JitDecodedInsn{rex_len + 1, "pop"};
-  if (op >= 0xB8 && op <= 0xBF) {
-    if (rex_w) {
-      if (left < 9) return std::nullopt;
-      return JitDecodedInsn{rex_len + 9, "movabs"};
-    }
-    if (left < 5) return std::nullopt;
-    return JitDecodedInsn{rex_len + 5, "mov(imm32)"};
-  }
-  if (op == 0x89 && rex_w) {
-    if (left < 2 || (q[1] >> 6) != 3) return std::nullopt;
-    return JitDecodedInsn{rex_len + 2, "mov(rr)"};
-  }
-  if (op == 0x8D && rex_w) {
-    if (left < 2) return std::nullopt;
-    // lea's own extra memory shape: [rbp + disp8] (the epilogue rsp restore).
-    if ((q[1] >> 6) == 1 && (q[1] & 7) == 5) {
-      if (left < 3) return std::nullopt;
-      return JitDecodedInsn{rex_len + 3, "lea"};
-    }
-    const u32 tail = modrm_tail_len(q + 1, left - 1);
-    if (tail == 0 || (q[1] >> 6) == 3) return std::nullopt;
-    return JitDecodedInsn{rex_len + 1 + tail, "lea"};
-  }
-  if (op == 0x81 && rex_w) {
-    if (left < 6 || q[1] != 0xEC) return std::nullopt;  // sub rsp, imm32
-    return JitDecodedInsn{rex_len + 6, "sub(rsp)"};
-  }
-  if (op == 0x83 && rex_w) {
-    if (left < 3 || q[1] != 0xE4) return std::nullopt;  // and rsp, imm8
-    return JitDecodedInsn{rex_len + 3, "and(rsp)"};
-  }
-  if (rex_len != 0) return std::nullopt;
-  if (op == 0xFF) {
-    if (left < 2 || q[1] != 0xD0) return std::nullopt;  // call rax
-    return JitDecodedInsn{2, "call(rax)"};
-  }
-  if (op == 0x85) {
-    if (left < 2 || q[1] != 0xC0) return std::nullopt;  // test eax, eax
-    return JitDecodedInsn{2, "test"};
-  }
-  if (op == 0x0F) {
-    if (left < 6 || q[1] != 0x85) return std::nullopt;  // jnz rel32
-    return JitDecodedInsn{6, "jnz"};
-  }
-  if (op == 0xC3) return JitDecodedInsn{1, "ret"};
-  return std::nullopt;
-}
-
 }  // namespace
 
 std::optional<JitDecodedInsn> jit_decode_one(const u8* p, usize n) {
   if (n == 0) return std::nullopt;
   if (p[0] == 0x62) return decode_evex(p, n);
   if (p[0] == 0xC4) return decode_vex3(p, n);
-  if (p[0] >= 0x40 && p[0] <= 0x4F) return decode_gpr(p, n, 1);
-  return decode_gpr(p, n, 0);
+  if (p[0] == 0xC3) return JitDecodedInsn{1, "ret"};
+  return std::nullopt;
 }
 
 }  // namespace kvx::sim

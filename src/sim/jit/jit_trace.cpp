@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <exception>
 
 #include "kvx/common/error.hpp"
 #include "kvx/obs/metrics.hpp"
@@ -10,75 +9,6 @@
 namespace kvx::sim {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Runtime context and shims.
-//
-// The emitted function receives one pointer (rdi): this context. It keeps
-// the ctx pinned in rbx and calls back into C++ for the packed transposes,
-// for the live-out scratch writes and for the plan's replay ranges. The
-// SysV ABI makes every vector register caller-saved, so the emitter spills
-// the packed state around every shim call (AVX-512) or keeps it
-// memory-resident (AVX2).
-// ---------------------------------------------------------------------------
-
-struct JitCtx {
-  u8* file = nullptr;  ///< vu.file_data() of this dispatch
-  u32 rb = 0;          ///< regfile row stride in bytes
-  u32 sn = 0;          ///< states per register row
-  u32 pack = 0;        ///< states per host register
-  const HostSimdTrace* hs = nullptr;
-  VectorUnit* vu = nullptr;
-  Memory* mem = nullptr;
-  const CycleModel* cm = nullptr;
-  std::exception_ptr* error = nullptr;
-};
-
-void jit_pack_shim(JitCtx* ctx, u64* buf, u32 loc, u32 s0) noexcept {
-  host_simd_pack(ctx->file, loc, ctx->rb, ctx->sn, s0, ctx->pack, buf);
-}
-
-void jit_unpack_shim(JitCtx* ctx, u64* buf, u32 loc, u32 s0) noexcept {
-  host_simd_unpack(ctx->file, loc, ctx->rb, ctx->sn, s0, ctx->pack, buf);
-}
-
-/// Split-segment transposes (the 32-bit arch): `locs` is the lo-plane
-/// offset in the low word and the hi-plane offset in the high word.
-void jit_pack_split_shim(JitCtx* ctx, u64* buf, u64 locs, u32 s0) noexcept {
-  host_simd_pack_split(ctx->file, static_cast<u32>(locs),
-                       static_cast<u32>(locs >> 32), ctx->rb, ctx->sn, s0,
-                       ctx->pack, buf);
-}
-
-void jit_unpack_split_shim(JitCtx* ctx, u64* buf, u64 locs, u32 s0) noexcept {
-  host_simd_unpack_split(ctx->file, static_cast<u32>(locs),
-                         static_cast<u32>(locs >> 32), ctx->rb, ctx->sn, s0,
-                         ctx->pack, buf);
-}
-
-/// Write plan kernel `kernel`'s live-out scratch rows from its packed input
-/// state, before the emitted kernel body runs.
-void jit_scratch_shim(JitCtx* ctx, u64* buf, u32 kernel, u32 s0) noexcept {
-  const HostSimdKernel& k = ctx->hs->kernels()[kernel];
-  write_scratch_rows(ctx->file, ctx->sn, s0, ctx->pack, buf,
-                     ctx->hs->fused().scratch_rows().data() + k.scratch_first,
-                     k.scratch_count);
-}
-
-/// Replay one unlowered plan item's records. Returns nonzero on a C++
-/// exception (captured into ctx->error); the emitted code branches to the
-/// epilogue and execute() rethrows — native frames never unwind.
-int jit_replay_shim(JitCtx* ctx, u32 item_index) noexcept {
-  try {
-    const HostSimdItem& item = ctx->hs->items()[item_index];
-    ctx->hs->base().replay(item.first, item.count, *ctx->vu, *ctx->mem,
-                           *ctx->cm);
-    return 0;
-  } catch (...) {
-    *ctx->error = std::current_exception();
-    return 1;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Emission.
@@ -110,42 +40,11 @@ RhoPiMap rho_pi_map() {
   return m;
 }
 
-/// Stack frame: the packed-state buffers live at [rsp, rsp + 1600) —
-/// 25 × 64 bytes under AVX-512 (one zmm spill slot per state register), or
-/// two 25 × 32 double buffers under AVX2 (ρπ writes the renamed registers
-/// into the alternate buffer and the buffers swap roles).
-constexpr u32 kFrameBytes = 1664;  // 1600 + 64-byte alignment headroom
+/// The packed-state buffer the emitted function works in: 25 × 64 bytes,
+/// one zmm per state register under AVX-512, or two 25 × 32 buffers under
+/// AVX2 (ρπ writes the renamed registers into the alternate buffer and the
+/// buffers swap roles).
 constexpr i32 kAvx2BufBytes = 25 * 32;
-
-/// Transpose-shim call: rdi = ctx, rsi = packed-state buffer, rdx = plane
-/// offset (u32; a split segment's lo/hi offsets as one u64 via movabs),
-/// rcx = first state of the pack group.
-template <typename Loc>
-void emit_shim_call(JitAssembler& a, void (*fn)(JitCtx*, u64*, Loc, u32),
-                    i32 buf_off, Loc loc, u32 s0) {
-  a.vzeroupper();
-  a.mov_rr64(kRdi, kRbx);
-  a.lea_rsp_disp32(kRsi, buf_off);
-  if constexpr (sizeof(Loc) == 8) {
-    a.mov_ri64(kRdx, loc);
-  } else {
-    a.mov_ri32(kRdx, loc);
-  }
-  a.mov_ri32(kRcx, s0);
-  a.mov_ri64(kRax, static_cast<u64>(reinterpret_cast<std::uintptr_t>(fn)));
-  a.call_rax();
-}
-
-void emit_replay_call(JitAssembler& a, u32 item_index) {
-  a.vzeroupper();
-  a.mov_rr64(kRdi, kRbx);
-  a.mov_ri32(kRsi, item_index);
-  a.mov_ri64(kRax, static_cast<u64>(reinterpret_cast<std::uintptr_t>(
-                       &jit_replay_shim)));
-  a.call_rax();
-  a.test_eax_eax();
-  a.jnz_placeholder();
-}
 
 // --- AVX-512 kernels: state resident in zmm0–24, scratch zmm25–31 ---
 
@@ -251,103 +150,46 @@ void emit_chi2(JitAssembler& a, const HostSimdKernel& ker, i32 cur) {
   }
 }
 
-void emit_function(JitAssembler& a, const HostSimdTrace& hs, HostSimdIsa isa,
-                   u32 pack, u32 groups) {
+void emit_function(JitAssembler& a, const HostSimdTrace& hs, HostSimdIsa isa) {
   const RhoPiMap m = rho_pi_map();
   const bool wide = isa == HostSimdIsa::kAvx512;
+  const HostSimdItem& seg = hs.items()[1];  // a direct plan's one segment
 
-  // Prologue: rbp frame, ctx pinned in callee-saved rbx (r12 saved only to
-  // keep the frame 16-byte aligned), packed-state buffers carved from the
-  // stack and 64-byte aligned.
-  a.push_r64(kRbp);
-  a.mov_rr64(kRbp, kRsp);
-  a.push_r64(kRbx);
-  a.push_r64(kR12);
-  a.mov_rr64(kRbx, kRdi);
-  a.sub_rsp_imm32(kFrameBytes);
-  a.and_rsp_imm8(-64);
-
-  // AVX-512 spill/reload of the zmm0–24 state around shim calls.
-  const auto store_state = [&a] {
-    for (unsigned i = 0; i < 25; ++i) a.evex_store(i, static_cast<i32>(i) * 64);
-  };
-  const auto load_state = [&a] {
+  // AVX-512 holds the state in zmm0–24 from entry to exit; AVX2 works on
+  // the buffer in memory and, if an odd number of ρπ kernels left the
+  // result in the alternate half, copies it back.
+  i32 cur = 0, alt = kAvx2BufBytes;
+  if (wide) {
     for (unsigned i = 0; i < 25; ++i) a.evex_load(i, static_cast<i32>(i) * 64);
-  };
-  const auto& items = hs.items();
-  const auto& kernels = hs.kernels();
-  for (u32 it = 0; it < items.size(); ++it) {
-    const HostSimdItem& item = items[it];
-    if (item.kernel_count == 0) {
-      emit_replay_call(a, it);
-      continue;
-    }
-    // Split segments differ only in which transposes they call.
-    const auto emit_pack = [&](u32 s0) {
-      if (item.split) {
-        emit_shim_call(a, &jit_pack_split_shim, 0,
-                       (u64{item.pack_loc2} << 32) | item.pack_loc, s0);
-      } else {
-        emit_shim_call(a, &jit_pack_shim, 0, item.pack_loc, s0);
-      }
-    };
-    const auto emit_unpack = [&](const HostSimdKernel& ker, i32 buf_off,
-                                 u32 s0) {
-      if (item.split) {
-        emit_shim_call(a, &jit_unpack_split_shim, buf_off,
-                       (u64{ker.unpack_loc2} << 32) | ker.unpack_loc, s0);
-      } else {
-        emit_shim_call(a, &jit_unpack_shim, buf_off, ker.unpack_loc, s0);
-      }
-    };
-    for (u32 g = 0; g < groups; ++g) {
-      const u32 s0 = g * pack;
-      emit_pack(s0);
-      i32 cur = 0, alt = kAvx2BufBytes;
-      if (wide) load_state();
-      for (u32 k = 0; k < item.kernel_count; ++k) {
-        const HostSimdKernel& ker = kernels[item.kernel_first + k];
-        if (ker.scratch_count != 0) {  // cur is 0 under AVX-512
-          if (wide) store_state();
-          emit_shim_call(a, &jit_scratch_shim, cur, item.kernel_first + k, s0);
-          if (wide) load_state();
+  }
+  for (u32 k = 0; k < seg.kernel_count; ++k) {
+    const HostSimdKernel& ker = hs.kernels()[seg.kernel_first + k];
+    switch (ker.kind) {
+      case HostSimdKernelKind::kTheta:
+        wide ? emit_theta512(a) : emit_theta2(a, cur);
+        break;
+      case HostSimdKernelKind::kRhoPi:
+        if (wide) {
+          emit_rhopi512(a, m);
+        } else {
+          emit_rhopi2(a, m, cur, alt);
+          std::swap(cur, alt);
         }
-        switch (ker.kind) {
-          case HostSimdKernelKind::kTheta:
-            wide ? emit_theta512(a) : emit_theta2(a, cur);
-            break;
-          case HostSimdKernelKind::kRhoPi:
-            if (wide) {
-              emit_rhopi512(a, m);
-            } else {
-              emit_rhopi2(a, m, cur, alt);
-              std::swap(cur, alt);
-            }
-            break;
-          case HostSimdKernelKind::kChi:
-            wide ? emit_chi512(a, ker) : emit_chi2(a, ker, cur);
-            break;
-        }
-        if (ker.unpack) {
-          if (wide) {
-            store_state();
-            emit_unpack(ker, 0, s0);
-            if (k + 1 < item.kernel_count) load_state();
-          } else {
-            emit_unpack(ker, cur, s0);
-          }
-        }
-      }
+        break;
+      case HostSimdKernelKind::kChi:
+        wide ? emit_chi512(a, ker) : emit_chi2(a, ker, cur);
+        break;
     }
   }
-
-  // Shared epilogue — also the landing pad of every replay error branch.
-  a.bind_jnz_targets(a.pos());
+  if (wide) {
+    for (unsigned i = 0; i < 25; ++i) a.evex_store(i, static_cast<i32>(i) * 64);
+  } else if (cur != 0) {
+    for (unsigned i = 0; i < 25; ++i) {
+      a.vex_load(0, cur + static_cast<i32>(i) * 32);
+      a.vex_store(0, static_cast<i32>(i) * 32);
+    }
+  }
   a.vzeroupper();
-  a.lea_rbp_disp8(kRsp, -16);
-  a.pop_r64(kR12);
-  a.pop_r64(kRbx);
-  a.pop_r64(kRbp);
   a.ret();
 }
 
@@ -394,17 +236,18 @@ std::shared_ptr<const JitTrace> lower_jit(
   if (hs->segment_count() == 0) {
     throw SimError("jit: the host-simd plan lowers nothing to emit");
   }
+  if (!hs->direct_state_base().has_value()) {
+    throw SimError(
+        "jit: plan is not [state-load replay][segment][state-store replay]");
+  }
   const HostSimdIsa isa = host_simd_dispatch_isa(hs->sn());
   if (isa != HostSimdIsa::kAvx2 && isa != HostSimdIsa::kAvx512) {
     throw SimError("jit: dispatch ISA '" +
                    std::string(host_simd_isa_name(isa)) +
                    "' has no native emitter");
   }
-  const u32 pack = host_simd_pack_width(isa);
-  const u32 groups = (hs->sn() + pack - 1) / pack;
-
   JitAssembler a;
-  emit_function(a, *hs, isa, pack, groups);
+  emit_function(a, *hs, isa);
   const std::vector<u8> image = a.finalize();
 
   auto trace = std::make_shared<JitTrace>();
@@ -415,44 +258,32 @@ std::shared_ptr<const JitTrace> lower_jit(
   trace->code_size_ = a.code_size();
   trace->literals_ = a.literal_count();
   trace->isa_ = isa;
-  trace->pack_ = pack;
-  trace->groups_ = groups;
+  trace->pack_ = host_simd_pack_width(isa);
   jit_emitted_bytes_counter().inc(image.size());
   return trace;
 }
 
-void JitTrace::execute(VectorUnit& vu, Memory& mem,
-                       const CycleModel& cm) const {
-  KVX_CHECK_MSG(vu.reg_bytes() == hs_->base().reg_bytes(),
-                "trace compiled for a different vector configuration");
+void JitTrace::permute(std::span<keccak::State> states) const {
   // An ISA pin or environment change since emission invalidates the baked
-  // code paths; throwing demotes this dispatch to host-simd, which
-  // re-resolves per execute.
+  // code; throwing (before any state is touched) demotes this dispatch to
+  // host-simd, which re-resolves per dispatch.
   if (host_simd_dispatch_isa(hs_->sn()) != isa_) {
     throw SimError("jit: host ISA changed since emission");
   }
-  JitCtx ctx;
-  ctx.file = vu.file_data();
-  ctx.rb = static_cast<u32>(hs_->base().reg_bytes());
-  ctx.sn = hs_->sn();
-  ctx.pack = pack_;
-  ctx.hs = hs_.get();
-  ctx.vu = &vu;
-  ctx.mem = &mem;
-  ctx.cm = &cm;
-  std::exception_ptr error;
-  ctx.error = &error;
-  const unsigned entry_sn = vu.config().effective_sn();
-
-  using Fn = void (*)(JitCtx*);
+  KVX_CHECK_MSG(states.size() <= hs_->sn(), "jit: more states than SN");
+  using Fn = void (*)(u64*);
   const auto fn =
       reinterpret_cast<Fn>(reinterpret_cast<std::uintptr_t>(buf_.data()));
-  fn(&ctx);
-
-  if (vu.config().effective_sn() != entry_sn) vu.set_sn(entry_sn);
-  if (error) std::rethrow_exception(error);
+  const u32 n = static_cast<u32>(states.size());
+  const u32 groups = (n + pack_ - 1) / pack_;
+  alignas(64) u64 buf[2 * 25 * 4];  // 25 zmm, or two 25-ymm AVX2 buffers
+  for (u32 g = 0; g < groups; ++g) {
+    host_simd_pack_states(states.data(), n, g * pack_, pack_, buf);
+    fn(buf);
+    host_simd_unpack_states(states.data(), n, g * pack_, pack_, buf);
+  }
   jit_dispatch_counter(isa_).inc();
-  hs_->count_transposes(groups_);
+  hs_->count_direct_transposes(groups);
 }
 
 }  // namespace kvx::sim

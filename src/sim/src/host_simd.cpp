@@ -112,11 +112,43 @@ void host_simd_unpack_split(u8* file, u32 lo_loc, u32 hi_loc, u32 rb, u32 sn,
   }
 }
 
+void host_simd_pack_states(const keccak::State* states, u32 n, u32 s0,
+                           u32 pack, u64* buf) noexcept {
+  for (u32 p = 0; p < pack; ++p) {
+    const u32 s = s0 + p;
+    if (s < n) {
+      const auto lanes = states[s].flat();
+      for (u32 i = 0; i < 25; ++i) buf[i * pack + p] = lanes[i];
+    } else {
+      for (u32 i = 0; i < 25; ++i) buf[i * pack + p] = 0;
+    }
+  }
+}
+
+void host_simd_unpack_states(keccak::State* states, u32 n, u32 s0, u32 pack,
+                             const u64* buf) noexcept {
+  for (u32 p = 0; p < pack && s0 + p < n; ++p) {
+    const auto lanes = states[s0 + p].flat();
+    for (u32 i = 0; i < 25; ++i) lanes[i] = buf[i * pack + p];
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Per-ISA segment runners, stamped out from host_simd_kernels.inc.
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// Where a full-plan segment group writes its regfile side effects
+/// (execute() only; the direct path passes none).
+struct RegfileSink {
+  u8* file = nullptr;
+  u32 rb = 0;  ///< regfile row stride in bytes
+  u32 sn = 0;
+  u32 s0 = 0;  ///< first state of the pack-width group
+  bool split = false;
+  const ScratchRow* rows = nullptr;  ///< the fused trace's recipe table
+};
 
 // Scalar: always compiled — the KVX_HOST_SIMD=OFF floor and the last resort
 // of the runtime dispatch.
@@ -199,21 +231,22 @@ inline void hs_st4(u64* p, hs_v4 v) noexcept { std::memcpy(p, &v, 32); }
 #include "host_simd_kernels.inc"
 #endif  // KVX_HS_HAVE_AVX512
 
-using GroupRunner = void (*)(u8*, u32, u32, u32, const HostSimdItem&,
-                             const HostSimdKernel*, const ScratchRow*);
+using GroupRunner = void (*)(u64*, const HostSimdKernel*, u32,
+                             const RegfileSink*);
 
+template <bool kRegfile>
 GroupRunner runner_for(HostSimdIsa isa) noexcept {
   switch (isa) {
 #if KVX_HS_HAVE_AVX512
-    case HostSimdIsa::kAvx512: return &run_group_avx512;
+    case HostSimdIsa::kAvx512: return &run_group_avx512<kRegfile>;
 #endif
 #if KVX_HS_HAVE_AVX2
-    case HostSimdIsa::kAvx2: return &run_group_avx2;
+    case HostSimdIsa::kAvx2: return &run_group_avx2<kRegfile>;
 #endif
 #if KVX_HS_HAVE_PORTABLE
-    case HostSimdIsa::kPortable: return &run_group_portable;
+    case HostSimdIsa::kPortable: return &run_group_portable<kRegfile>;
 #endif
-    default: return &run_group_scalar;
+    default: return &run_group_scalar<kRegfile>;
   }
 }
 
@@ -277,14 +310,14 @@ obs::Counter& dispatch_counter(HostSimdIsa isa) {
 obs::Counter& packs_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "kvx_hostsimd_packs_total",
-      "State groups transposed into packed host registers");
+      "Pack-width state groups transposed into the packed form");
   return c;
 }
 
 obs::Counter& unpacks_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "kvx_hostsimd_unpacks_total",
-      "State groups transposed back to the simulator regfile");
+      "Pack-width state groups transposed out of the packed form");
   return c;
 }
 
@@ -401,6 +434,104 @@ void check_rho_table() {
       }
     }
   }
+}
+
+/// The staged-state region of a direct plan, confirmed byte by byte (see
+/// HostSimdTrace::direct_state_base): which data-memory byte each head
+/// load leaves in every byte of the segment's input planes, and which
+/// regfile byte each tail store leaves in every byte of the region.
+std::optional<u32> find_direct_state_base(
+    const CompiledTrace& base, const std::vector<HostSimdItem>& items,
+    const std::vector<HostSimdKernel>& kernels, u32 sn) {
+  if (items.size() != 3 || items[0].kernel_count != 0 ||
+      items[1].kernel_count == 0 || items[2].kernel_count != 0) {
+    return std::nullopt;
+  }
+  const HostSimdItem& seg = items[1];
+  const HostSimdKernel& last = kernels[seg.kernel_first + seg.kernel_count - 1];
+  const i64 rb = static_cast<i64>(base.reg_bytes());
+  const auto& ops = base.ops();
+  // Byte b of lane i = 5y + x of state s: its regfile byte in the planes at
+  // (lo, hi), and its offset in the region (64-bit lanes, plane-major).
+  const auto reg_byte = [&](u32 lo, u32 hi, i64 s, i64 i, i64 b) {
+    const i64 x = i % 5, y = i / 5;
+    if (!seg.split) return lo + y * rb + 8 * (5 * s + x) + b;
+    return (b < 4 ? lo : hi) + y * rb + 4 * (5 * s + x) + b % 4;
+  };
+  const auto region_byte = [sn](i64 s, i64 i, i64 b) {
+    return (i / 5) * 40 * i64{sn} + 8 * (5 * s + i % 5) + b;
+  };
+  // Calls f(regfile byte, dmem address) for every byte a unit or strided
+  // memory record moves; false for any other record kind.
+  const auto each_byte = [](const TraceOp& op, auto&& f) {
+    if (op.kind == TraceOpKind::kLoadUnit ||
+        op.kind == TraceOpKind::kStoreUnit) {
+      for (i64 j = 0; j < op.n; ++j) f(op.d + j, op.aux + j);
+      return true;
+    }
+    if (op.kind == TraceOpKind::kLoadStrided ||
+        op.kind == TraceOpKind::kStoreStrided) {
+      const i64 es = op.sew / 8;
+      for (i64 e = 0; e < op.n; ++e) {
+        for (i64 b = 0; b < es; ++b) {
+          f(op.d + e * es + b, op.aux + e * op.imm + b);
+        }
+      }
+      return true;
+    }
+    return false;
+  };
+  const auto is_load = [](const TraceOp& op) {
+    return op.kind == TraceOpKind::kLoadUnit ||
+           op.kind == TraceOpKind::kLoadStrided;
+  };
+
+  // Head: loads only. src[regfile byte] = the dmem address it came from.
+  std::vector<i64> src(static_cast<usize>(32 * rb), -1);
+  bool bad = false;
+  const auto load = [&](i64 reg, i64 addr) {
+    if (reg >= static_cast<i64>(src.size())) {
+      bad = true;
+    } else {
+      src[static_cast<usize>(reg)] = addr;
+    }
+  };
+  for (u32 r = items[0].first; r < items[0].first + items[0].count; ++r) {
+    if (!is_load(ops[r]) || !each_byte(ops[r], load) || bad) {
+      return std::nullopt;
+    }
+  }
+  const i64 region =
+      src[static_cast<usize>(reg_byte(seg.pack_loc, seg.pack_loc2, 0, 0, 0))];
+  if (region < 0) return std::nullopt;
+  // Tail: stores into the region only. out[region byte] = its regfile byte.
+  std::vector<i64> out(usize{200} * sn, -1);
+  const auto store = [&](i64 reg, i64 addr) {
+    if (addr < region || addr >= region + static_cast<i64>(out.size())) {
+      bad = true;
+    } else {
+      out[static_cast<usize>(addr - region)] = reg;
+    }
+  };
+  for (u32 r = items[2].first; r < items[2].first + items[2].count; ++r) {
+    if (is_load(ops[r]) || !each_byte(ops[r], store) || bad) {
+      return std::nullopt;
+    }
+  }
+  for (i64 st = 0; st < sn; ++st) {
+    for (i64 i = 0; i < 25; ++i) {
+      for (i64 b = 0; b < 8; ++b) {
+        const i64 rel = region_byte(st, i, b);
+        const i64 in = reg_byte(seg.pack_loc, seg.pack_loc2, st, i, b);
+        if (src[static_cast<usize>(in)] != region + rel ||
+            out[static_cast<usize>(rel)] !=
+                reg_byte(last.unpack_loc, last.unpack_loc2, st, i, b)) {
+          return std::nullopt;
+        }
+      }
+    }
+  }
+  return static_cast<u32>(region);
 }
 
 }  // namespace
@@ -551,6 +682,8 @@ std::shared_ptr<const HostSimdTrace> lower_host_simd(
 
   // An all-replay plan (nothing lowered) has no SN of its own.
   hs->sn_ = hs->segments_ != 0 ? plan_sn : 0;
+  hs->direct_base_ =
+      find_direct_state_base(ft.base(), hs->items_, hs->kernels_, hs->sn_);
   return hs;
 }
 
@@ -563,31 +696,60 @@ void HostSimdTrace::execute(VectorUnit& vu, Memory& mem,
   KVX_CHECK_MSG(vu.reg_bytes() == base().reg_bytes(),
                 "trace compiled for a different vector configuration");
   const HostSimdIsa isa = host_simd_dispatch_isa(sn_);
-  const GroupRunner run = runner_for(isa);
+  const GroupRunner run = runner_for<true>(isa);
   const u32 pack = host_simd_pack_width(isa);
   const u32 groups = (sn_ + pack - 1) / pack;
   u8* file = vu.file_data();
   const u32 rb = static_cast<u32>(base().reg_bytes());
   const unsigned entry_sn = vu.config().effective_sn();
-  const ScratchRow* rows = fused_->scratch_rows().data();
+  alignas(64) u64 buf[25 * 8];
   for (const HostSimdItem& item : items_) {
     if (item.kernel_count == 0) {
       base().replay(item.first, item.count, vu, mem, cm);
       continue;
     }
     for (u32 g = 0; g < groups; ++g) {
-      run(file, rb, sn_, g * pack, item, kernels_.data() + item.kernel_first,
-          rows);
+      const RegfileSink rf{file, rb, sn_, g * pack, item.split,
+                           fused_->scratch_rows().data()};
+      if (item.split) {
+        host_simd_pack_split(file, item.pack_loc, item.pack_loc2, rb, sn_,
+                             rf.s0, pack, buf);
+      } else {
+        host_simd_pack(file, item.pack_loc, rb, sn_, rf.s0, pack, buf);
+      }
+      run(buf, kernels_.data() + item.kernel_first, item.kernel_count, &rf);
     }
   }
   if (vu.config().effective_sn() != entry_sn) vu.set_sn(entry_sn);
   dispatch_counter(isa).inc();
-  count_transposes(groups);
-}
-
-void HostSimdTrace::count_transposes(u32 groups) const {
   packs_counter().inc(segments_ * groups);
   unpacks_counter().inc(unpack_marks_ * groups);
+}
+
+void HostSimdTrace::permute(std::span<keccak::State> states) const {
+  KVX_CHECK_MSG(direct_base_.has_value() && states.size() <= sn_,
+                "host-simd direct path needs a direct plan and <= SN states");
+  const HostSimdIsa isa = host_simd_dispatch_isa(sn_);
+  const GroupRunner run = runner_for<false>(isa);
+  const u32 pack = host_simd_pack_width(isa);
+  const HostSimdItem& seg = items_[1];
+  const u32 n = static_cast<u32>(states.size());
+  // Groups holding only zero padding are skipped: their lanes reach no
+  // caller state.
+  const u32 groups = (n + pack - 1) / pack;
+  alignas(64) u64 buf[25 * 8];
+  for (u32 g = 0; g < groups; ++g) {
+    host_simd_pack_states(states.data(), n, g * pack, pack, buf);
+    run(buf, kernels_.data() + seg.kernel_first, seg.kernel_count, nullptr);
+    host_simd_unpack_states(states.data(), n, g * pack, pack, buf);
+  }
+  dispatch_counter(isa).inc();
+  count_direct_transposes(groups);
+}
+
+void HostSimdTrace::count_direct_transposes(u32 groups) const {
+  packs_counter().inc(groups);
+  unpacks_counter().inc(groups);
 }
 
 }  // namespace kvx::sim

@@ -25,6 +25,7 @@
 #include "kvx/keccak/permutation.hpp"
 #include "kvx/obs/metrics.hpp"
 #include "kvx/sim/fault_injector.hpp"
+#include "machine_state.hpp"
 
 namespace kvx {
 namespace {
@@ -250,6 +251,70 @@ TEST(FaultInjection, JitSimFaultDemotesToHostSimdAndRecovers) {
   EXPECT_EQ(vk.last_backend(), built);
   EXPECT_EQ(vk.backend_fallbacks(), built_fallbacks + 1);
 }
+
+// A bit flip on a direct dispatch. The jit and host-simd tiers leave the
+// machine pending on a copy of the input, so the injected flip must first
+// materialize it, then corrupt it and raise; the dispatch demotes one tier
+// down with the same attempt path as any other execute fault, the caller
+// gets golden states, and the next read of the machine shows the clean
+// retry, not the flip.
+class DirectDispatchFlipTest
+    : public ::testing::TestWithParam<std::tuple<ExecBackend, FaultKind>> {};
+
+TEST_P(DirectDispatchFlipTest, MaterializesCorruptsThrowsAndDemotes) {
+  const auto [asked, kind] = GetParam();
+  auto probe_cfg = accel_config(asked);
+  probe_cfg.fault_injector = std::make_shared<FaultInjector>(FaultPlan{});
+  VectorKeccak probe(probe_cfg);
+  const ExecBackend built = probe.active_backend();
+  ASSERT_GE(built, ExecBackend::kHostSimd);
+
+  auto cfg = accel_config(asked);
+  FaultPlan plan;
+  plan.at_draw = probe_cfg.fault_injector->stats().draws + 1;
+  plan.kinds = static_cast<u32>(kind);
+  cfg.fault_injector = std::make_shared<FaultInjector>(plan);
+  VectorKeccak vk(cfg);
+  ASSERT_EQ(vk.active_backend(), built);
+  obs::Counter& materializations = obs::MetricsRegistry::global().counter(
+      "kvx_sim_materializations_total");
+  const u64 m0 = materializations.value();
+
+  auto states = random_states(3, 0xF11);
+  vk.permute(states);
+  expect_states_equal(states, reference_permute(0xF11));
+  EXPECT_EQ(cfg.fault_injector->stats().bit_flips, 1u);
+  EXPECT_EQ(materializations.value(), m0 + 1);
+  EXPECT_EQ(vk.last_backend(), sim::demote_backend(built));
+  const auto& attempts = vk.last_dispatch_attempts();
+  ASSERT_EQ(attempts.size(), 2u);
+  EXPECT_EQ(attempts[0].tier, built);
+  EXPECT_TRUE(attempts[0].injected);
+  EXPECT_NE(attempts[0].error.find("bit flip"), std::string::npos);
+  EXPECT_EQ(attempts[1].tier, sim::demote_backend(built));
+  EXPECT_EQ(attempts[1].error, "");
+
+  VectorKeccak ref(accel_config(ExecBackend::kInterpreter));
+  auto ref_states = random_states(3, 0xF11);
+  ref.permute(ref_states);
+  test::expect_same_machine(vk, ref, "after the demoted retry");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TiersByFlip, DirectDispatchFlipTest,
+    ::testing::Combine(::testing::Values(ExecBackend::kHostSimd,
+                                         ExecBackend::kJit),
+                       ::testing::Values(FaultKind::kRegfileBitFlip,
+                                         FaultKind::kMemoryBitFlip)),
+    [](const auto& info) {
+      std::string name(sim::backend_name(std::get<0>(info.param)));
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name + (std::get<1>(info.param) == FaultKind::kRegfileBitFlip
+                         ? "_regflip"
+                         : "_memflip");
+    });
 
 TEST(FaultInjection, JitCompileFaultChainDemotesToInterpreter) {
   auto cfg = accel_config(ExecBackend::kJit);

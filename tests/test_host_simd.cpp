@@ -28,6 +28,7 @@
 #include "kvx/sim/host_simd.hpp"
 #include "kvx/sim/jit/jit_trace.hpp"
 #include "kvx/sim/trace_fusion.hpp"
+#include "machine_state.hpp"
 
 namespace kvx::core {
 namespace {
@@ -390,10 +391,20 @@ TEST_P(HostSimdDifferential, EveryTierLeavesTheInterpretersMachineState) {
         << tier;
   };
   check("host-simd", *hs);
+  // Both native tiers run a direct plan straight from the caller's states:
+  // the staged states in, exactly the interpreter's stored states out.
+  const auto region = want_mem.data() + opts.verify_base;
+  const auto check_direct = [&](const char* tier, const auto& t) {
+    auto states = test::unstaged_states(state_data.data(), sn());
+    t.permute(states);
+    EXPECT_EQ(states, test::unstaged_states(region, sn())) << tier;
+  };
+  ASSERT_EQ(hs->direct_state_base(), opts.verify_base);
+  check_direct("host-simd direct", *hs);
   const HostSimdIsa isa = sim::host_simd_dispatch_isa(hs->sn());
   if (sim::jit_supported() &&
       (isa == HostSimdIsa::kAvx2 || isa == HostSimdIsa::kAvx512)) {
-    check("jit", *sim::lower_jit(hs));
+    check_direct("jit", *sim::lower_jit(hs));
   }
   if (arch() == Arch::k32Lmul8) {
     EXPECT_EQ(hs->cycles_between(Markers::kPermStart, Markers::kPermEnd),
@@ -540,44 +551,22 @@ TEST(HostSimd, SplitArchLowersWithCorrectDigests) {
 TEST(HostSimd, PureRvvLandsOnHostSimdAtInterpreterState) {
   // The pure-RVV ablation has no θ/ρπ/χ super-kernels to lower. Asked for
   // at jit or host-simd, it lands on host-simd as an all-replay plan (the
-  // jit has nothing to emit and demotes once), and the register file, data
-  // memory and cycles are the interpreter's.
+  // jit has nothing to emit and demotes once) that is not direct, and the
+  // register file, data memory and cycles are the interpreter's — after
+  // back-to-back dispatches, with full and partial batches.
   for (const unsigned sn : {1u, 3u, 6u, 8u}) {
-    VectorKeccakConfig ci{Arch::k64PureRvv, 5 * sn, 24};
-    VectorKeccak interp(ci);
-    auto want = random_states(sn, 0x5EED + sn);
-    interp.permute(want);
     for (const ExecBackend asked :
          {ExecBackend::kHostSimd, ExecBackend::kJit}) {
-      SCOPED_TRACE("SN=" + std::to_string(sn) + " asked " +
-                   std::string(sim::backend_name(asked)));
-      VectorKeccakConfig c = ci;
+      const std::string what = "SN=" + std::to_string(sn) + " asked " +
+                               std::string(sim::backend_name(asked));
+      SCOPED_TRACE(what);
+      VectorKeccakConfig c{Arch::k64PureRvv, 5 * sn, 24};
       c.backend = asked;
       VectorKeccak vk(c);
       EXPECT_EQ(vk.active_backend(), ExecBackend::kHostSimd);
       EXPECT_EQ(vk.backend_fallbacks(), asked == ExecBackend::kJit ? 1u : 0u);
       EXPECT_EQ(vk.host_simd_coverage(), 0.0);
-      auto got = random_states(sn, 0x5EED + sn);
-      vk.permute(got);
-      EXPECT_EQ(vk.last_backend(), ExecBackend::kHostSimd);
-      EXPECT_EQ(got, want);
-      const sim::SimdProcessor& pi = interp.processor();
-      const sim::SimdProcessor& ph = vk.processor();
-      for (unsigned r = 0; r < 32; ++r) {
-        EXPECT_EQ(ph.vector().get_register(r), pi.vector().get_register(r))
-            << "v" << r;
-      }
-      std::vector<u8> mi(pi.dmem().size());
-      std::vector<u8> mh(ph.dmem().size());
-      pi.dmem().read_block(0, mi);
-      ph.dmem().read_block(0, mh);
-      EXPECT_EQ(mh, mi);
-      EXPECT_EQ(vk.last_timing().total_cycles,
-                interp.last_timing().total_cycles);
-      EXPECT_EQ(vk.last_timing().permutation_cycles,
-                interp.last_timing().permutation_cycles);
-      EXPECT_EQ(vk.last_timing().instructions,
-                interp.last_timing().instructions);
+      test::expect_tier_at_interpreter_state(c, ExecBackend::kHostSimd, what);
     }
   }
 }
@@ -597,6 +586,7 @@ TEST(HostSimd, NothingToLowerBuildsAnAllReplayPlan) {
   EXPECT_EQ(hs->segment_count(), 0u);
   EXPECT_EQ(hs->lowered_kernel_count(), 0u);
   EXPECT_EQ(hs->sn(), 0u);
+  EXPECT_FALSE(hs->direct_state_base().has_value());
   EXPECT_EQ(hs->lowered_coverage(), 0.0);
   ASSERT_EQ(hs->items().size(), 1u);
   EXPECT_EQ(hs->items()[0].kernel_count, 0u);

@@ -1,13 +1,16 @@
 // Tests of the trace-to-native JIT backend (tier zero of three): emitted
-// machine code must be bit-identical to every tier below it (digests,
-// register file, data memory) across all paper configurations — the 32-bit
-// split arch included — and every emitted ISA, cycle reporting must pass
-// the pinned paper values through untouched, unsupported hosts/ISA
-// resolutions/unlowerable programs must demote cleanly to host-simd, the
-// trace cache must key emissions per ISA while sharing one host-SIMD plan
-// (and export occupancy gauges), the engine must report the jit tier, and
-// — the disassembly self-check — every emitted byte sequence must decode
-// against the encoder's fixed allowlist, with 64-bit emission sizes pinned.
+// machine code must give every tier below it bit-identical digests and
+// states, and every tier's register file, data memory and timing read
+// through processor() must be the interpreter's, across all paper
+// configurations — the 32-bit split arch included — and every emitted
+// ISA; the service path must never materialize the machine; cycle
+// reporting must pass the pinned paper values through untouched,
+// unsupported hosts/ISA resolutions/unlowerable programs must demote
+// cleanly to host-simd, the trace cache must key emissions per ISA while
+// sharing one host-SIMD plan (and export occupancy gauges), the engine
+// must report the jit tier, and — the disassembly self-check — every
+// emitted byte sequence must decode against the encoder's fixed
+// allowlist, with 64-bit emission sizes pinned.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -28,6 +31,7 @@
 #include "kvx/sim/jit/jit_code.hpp"
 #include "kvx/sim/jit/jit_trace.hpp"
 #include "kvx/sim/trace_fusion.hpp"
+#include "machine_state.hpp"
 
 namespace kvx::core {
 namespace {
@@ -114,7 +118,7 @@ class JitDifferential
 
 TEST_P(JitDifferential, PermuteMatchesInterpreterOnEveryEmittedIsa) {
   // Ragged SN included: SN=3/6 leave partially covered pack groups on both
-  // emitted ISAs; the pack/unpack shims must zero-pad and drop pad lanes.
+  // emitted ISAs; the state transposes must zero-pad and drop pad lanes.
   KVX_REQUIRE_JIT_HOST();
   IsaGuard guard;
   VectorKeccak interp(config(ExecBackend::kInterpreter));
@@ -174,52 +178,20 @@ TEST_P(JitDifferential, Sha3DigestsMatchAcrossAllThreeBackends) {
 }
 
 TEST_P(JitDifferential, RegisterFileAndMemoryBitIdenticalToHostSimd) {
-  // The emitted function materializes exactly the last-writer values the
-  // plan materializes, and the replay shim replays the same record ranges
-  // — so the post-execute register file and data memory must be
-  // byte-identical to the host-SIMD tier's (and hence the interpreter's).
-  KVX_REQUIRE_JIT_HOST();
+  // The jit and host-simd tiers take the direct path and leave the machine
+  // pending; processor() must then produce the interpreter's register file,
+  // data memory and timing — after two back-to-back dispatches (only the
+  // second may show), with full and partial batches, on every emitted ISA.
   IsaGuard guard;
-  sim::host_simd_force_isa(emittable_isas().front());
-
-  const VectorKeccakConfig cfg = config(ExecBackend::kInterpreter);
-  const auto program = VectorKeccak::build_program(cfg);
-  const auto opts = verify_opts(*program, cfg);
-  const auto hs = sim::lower_host_simd(sim::fuse_trace(
-      sim::compile_trace(program->image, proc_config(cfg), opts)));
-  const auto jit = sim::lower_jit(hs);
-  ASSERT_EQ(jit->shared_host_simd().get(), hs.get());
-  // The paper program never lowers 100% (absorb/setup items replay through
-  // the shim): partial coverage here proves the shim path is on the line.
-  EXPECT_GT(jit->lowered_coverage(), 0.5);
-  EXPECT_LT(jit->lowered_coverage(), 1.0);
-
-  sim::SimdProcessor ph(proc_config(cfg));
-  sim::SimdProcessor pj(proc_config(cfg));
-  ph.load_program(program->image);
-  pj.load_program(program->image);
-
-  SplitMix64 rng(0xFACE + sn());
-  std::vector<u8> state_data(opts.verify_len);
-  for (u8& byte : state_data) byte = static_cast<u8>(rng.next());
-  ph.dmem().write_block(opts.verify_base, state_data);
-  pj.dmem().write_block(opts.verify_base, state_data);
-
-  hs->execute(ph.vector(), ph.dmem(), ph.config().cycle_model);
-  jit->execute(pj.vector(), pj.dmem(), pj.config().cycle_model);
-
-  for (unsigned r = 0; r < 32; ++r) {
-    EXPECT_EQ(pj.vector().get_register(r), ph.vector().get_register(r))
-        << "v" << r;
+  test::expect_tier_at_interpreter_state(config(ExecBackend::kHostSimd),
+                                         ExecBackend::kHostSimd, "host-simd");
+  if (!sim::jit_supported()) return;
+  for (const HostSimdIsa isa : emittable_isas()) {
+    sim::host_simd_force_isa(isa);
+    test::expect_tier_at_interpreter_state(
+        config(ExecBackend::kJit), ExecBackend::kJit,
+        "jit/" + std::string(sim::host_simd_isa_name(isa)));
   }
-  EXPECT_EQ(jit->final_scalar_regs(), hs->final_scalar_regs());
-  std::vector<u8> mh(ph.dmem().size());
-  std::vector<u8> mj(pj.dmem().size());
-  ph.dmem().read_block(0, mh);
-  pj.dmem().read_block(0, mj);
-  EXPECT_EQ(mj, mh);
-  EXPECT_EQ(jit->total_cycles(), hs->total_cycles());
-  EXPECT_EQ(jit->instructions(), hs->instructions());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -229,11 +201,19 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(Arch::k64Fused, 3u),
                       std::make_tuple(Arch::k64Lmul8, 6u),
                       std::make_tuple(Arch::k64Lmul8, 8u),
-                      // The 32-bit split halves through the split shims.
+                      // The 32-bit split halves.
                       std::make_tuple(Arch::k32Lmul8, 1u),
                       std::make_tuple(Arch::k32Lmul8, 3u),
                       std::make_tuple(Arch::k32Lmul8, 6u),
-                      std::make_tuple(Arch::k32Lmul8, 8u)));
+                      std::make_tuple(Arch::k32Lmul8, 8u),
+                      // The rest of {64lmul1, 64lmul8, fused} x SN {1,3,6,8}.
+                      std::make_tuple(Arch::k64Lmul1, 3u),
+                      std::make_tuple(Arch::k64Lmul1, 6u),
+                      std::make_tuple(Arch::k64Lmul1, 8u),
+                      std::make_tuple(Arch::k64Lmul8, 1u),
+                      std::make_tuple(Arch::k64Fused, 1u),
+                      std::make_tuple(Arch::k64Fused, 6u),
+                      std::make_tuple(Arch::k64Fused, 8u)));
 
 // ---------------------------------------------------------------------------
 // Cycle pinning and the demotion chain.
@@ -302,10 +282,11 @@ TEST(Jit, UnlowerableProgramDemotesToHostSimdWithCorrectDigests) {
 }
 
 TEST(Jit, DispatchCountsTheSameTransposesAsHostSimd) {
-  // The emitted code runs the plan's transposes through its shims, so one
-  // jit dispatch must advance kvx_hostsimd_{packs,unpacks}_total exactly as
-  // one host-simd dispatch of the same plan does — on a 64-bit plan and a
-  // split one, with ragged pack groups.
+  // Both direct paths transpose the caller's states once into the packed
+  // form and once back per pack-width group that holds a caller state, so
+  // one jit dispatch must advance kvx_hostsimd_{packs,unpacks}_total
+  // exactly as one host-simd dispatch of the same plan does — on a 64-bit
+  // plan and a split one, with ragged and partly empty pack groups.
   KVX_REQUIRE_JIT_HOST();
   IsaGuard guard;
   auto& packs = obs::MetricsRegistry::global().counter(
@@ -314,6 +295,7 @@ TEST(Jit, DispatchCountsTheSameTransposesAsHostSimd) {
       "kvx_hostsimd_unpacks_total");
   for (const HostSimdIsa isa : emittable_isas()) {
     sim::host_simd_force_isa(isa);
+    const u32 pack = sim::host_simd_pack_width(isa);
     for (const VectorKeccakConfig& c :
          {VectorKeccakConfig{Arch::k64Lmul8, 30, 24},
           VectorKeccakConfig{Arch::k32Lmul8, 30, 24}}) {
@@ -324,17 +306,17 @@ TEST(Jit, DispatchCountsTheSameTransposesAsHostSimd) {
           sim::fuse_trace(sim::compile_trace(program->image, proc_config(c),
                                              verify_opts(*program, c))));
       const auto jit = sim::lower_jit(hs);
-      const auto dispatch = [&](const auto& t) {
-        sim::SimdProcessor p(proc_config(c));
-        p.load_program(program->image);
-        const u64 p0 = packs.value(), u0 = unpacks.value();
-        t.execute(p.vector(), p.dmem(), p.config().cycle_model);
-        return std::pair{packs.value() - p0, unpacks.value() - u0};
-      };
-      const auto want = dispatch(*hs);
-      EXPECT_GT(want.first, 0u);
-      EXPECT_GT(want.second, 0u);
-      EXPECT_EQ(dispatch(*jit), want);
+      for (const usize n : {usize{6}, usize{1}}) {
+        const auto dispatch = [&](const auto& t) {
+          auto states = random_states(n, 0x7A);
+          const u64 p0 = packs.value(), u0 = unpacks.value();
+          t.permute(states);
+          return std::pair{packs.value() - p0, unpacks.value() - u0};
+        };
+        const u64 groups = (n + pack - 1) / pack;
+        EXPECT_EQ(dispatch(*hs), std::pair(groups, groups)) << n;
+        EXPECT_EQ(dispatch(*jit), std::pair(groups, groups)) << n;
+      }
     }
   }
 }
@@ -501,8 +483,7 @@ TEST(JitDisasm, EmittedCodeDecodesEndToEndOnEveryIsa) {
   // encoder shifts the tiling and fails here.
   KVX_REQUIRE_JIT_HOST();
   IsaGuard guard;
-  // A 64-bit plan and a split (32-bit) plan, whose transposes go through
-  // the split shims with their movabs-loaded plane-offset pairs.
+  // A 64-bit plan and a split (32-bit) plan.
   for (const VectorKeccakConfig& c :
        {VectorKeccakConfig{Arch::k64Lmul8, 15, 24},
         VectorKeccakConfig{Arch::k32Lmul8, 30, 24}}) {
@@ -544,12 +525,12 @@ TEST(JitDisasm, EmittedCodeDecodesEndToEndOnEveryIsa) {
 
 TEST(JitDisasm, SixtyFourBitEmissionSizesArePinned) {
   // A 64-bit plan's emitted code is pinned to the byte: all 24 rounds in
-  // one segment, each final-round kernel with live-out scratch (64lmul1:
-  // χ; 64lmul8: θ and χ) preceded by a scratch shim call, and every
-  // round's ι constant in the pool (22 distinct values: rounds 20 and 22
-  // repeat the constants of rounds 6 and 5, counting from 0). Any change
-  // to the 64-bit emitter moves these numbers and must update them on
-  // purpose.
+  // one call-free body over the caller's packed buffer, and every round's
+  // ι constant in the pool (22 distinct values: rounds 20 and 22 repeat
+  // the constants of rounds 6 and 5, counting from 0). 64lmul1 and 64lmul8
+  // lower to the same 72-kernel θ/ρπ/χι sequence, so their code is the
+  // same size. Any change to the 64-bit emitter moves these numbers and
+  // must update them on purpose.
   KVX_REQUIRE_JIT_HOST();
   IsaGuard guard;
   struct Pin {
@@ -558,10 +539,10 @@ TEST(JitDisasm, SixtyFourBitEmissionSizesArePinned) {
     HostSimdIsa isa;
     usize code_size;
   };
-  for (const Pin& pin : {Pin{Arch::k64Lmul1, 1, HostSimdIsa::kAvx2, 61014},
-                         Pin{Arch::k64Lmul8, 3, HostSimdIsa::kAvx2, 61051},
-                         Pin{Arch::k64Lmul1, 1, HostSimdIsa::kAvx512, 21816},
-                         Pin{Arch::k64Lmul8, 3, HostSimdIsa::kAvx512, 22403}}) {
+  for (const Pin& pin : {Pin{Arch::k64Lmul1, 1, HostSimdIsa::kAvx2, 56573},
+                         Pin{Arch::k64Lmul8, 3, HostSimdIsa::kAvx2, 56573},
+                         Pin{Arch::k64Lmul1, 1, HostSimdIsa::kAvx512, 20425},
+                         Pin{Arch::k64Lmul8, 3, HostSimdIsa::kAvx512, 20425}}) {
     if (!sim::host_simd_isa_available(pin.isa)) continue;
     sim::host_simd_force_isa(pin.isa);
     const VectorKeccakConfig c{pin.arch, 5 * pin.sn, 24};
@@ -623,6 +604,49 @@ TEST(Jit, EngineReportsJitBackendIsaAndCodeBytes) {
   EXPECT_GT(st.jit_code_bytes, 0u);
   EXPECT_GT(st.host_simd_coverage, 0.5);
   EXPECT_GT(st.fusion_coverage, 0.5);
+}
+
+TEST(Jit, EngineServiceNeverMaterializesTheMachine) {
+  // The service path reads digests only: jobs through a jit engine retire
+  // with golden digests and never pay for the register file — the
+  // materialization counter stays put, until something reads processor().
+  KVX_REQUIRE_JIT_HOST();
+  auto& materializations = obs::MetricsRegistry::global().counter(
+      "kvx_sim_materializations_total");
+  const u64 before = materializations.value();
+
+  engine::EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.accel = {Arch::k64Lmul8, 30, 24};
+  cfg.accel.backend = ExecBackend::kJit;
+  engine::BatchHashEngine eng(cfg);
+  const auto msgs = random_messages(64, 0x3A7);
+  std::vector<engine::HashJob> jobs(msgs.size());
+  for (usize i = 0; i < msgs.size(); ++i) {
+    jobs[i].algo = engine::Algo::kSha3_256;
+    jobs[i].message = msgs[i];
+  }
+  eng.submit_all(jobs);
+  const auto results = eng.drain_results();
+  ASSERT_EQ(results.size(), msgs.size());
+  for (usize i = 0; i < msgs.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].error;
+    EXPECT_EQ(results[i].digest,
+              keccak::hash(keccak::Sha3Function::kSha3_256, msgs[i], 32));
+  }
+  EXPECT_EQ(eng.stats().effective_backend, "jit");
+  EXPECT_EQ(materializations.value(), before);
+
+  // A read of the machine after a direct dispatch is what materializes —
+  // once; a second read with nothing new pending is free.
+  VectorKeccak vk(cfg.accel);
+  auto states = random_states(6, 0x3A8);
+  vk.permute(states);
+  EXPECT_EQ(materializations.value(), before);
+  (void)vk.processor();
+  EXPECT_EQ(materializations.value(), before + 1);
+  (void)vk.processor();
+  EXPECT_EQ(materializations.value(), before + 1);
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "kvx/sim/host_simd.hpp"
 #include "kvx/sim/jit/jit_trace.hpp"
 #include "kvx/sim/trace_fusion.hpp"
+#include "machine_state.hpp"
 
 namespace kvx::core {
 namespace {
@@ -178,7 +179,13 @@ TEST_P(FusionDifferential, RandomizedRegisterFileSeedReplay) {
     check("host-simd/" + name, *hs);
     if (sim::jit_supported() &&
         (isa == HostSimdIsa::kAvx2 || isa == HostSimdIsa::kAvx512)) {
-      check("jit/" + name, *sim::lower_jit(hs));
+      // The jit runs the direct path only: the staged states in, exactly
+      // the states the interpreter stored out.
+      auto states = test::unstaged_states(state_data.data(), sn());
+      sim::lower_jit(hs)->permute(states);
+      EXPECT_EQ(states, test::unstaged_states(
+                            want_mem.data() + opts.verify_base, sn()))
+          << "jit/" << name;
     }
   }
 }
@@ -701,12 +708,18 @@ usize expect_every_tier_matches_interpreter(const std::string& source) {
         (isa != HostSimdIsa::kAvx2 && isa != HostSimdIsa::kAvx512)) {
       continue;
     }
-    // A plan with no lowered kernel has nothing to emit: the jit refuses
-    // it and the tier chain serves it on host-simd, checked above.
-    if (kernels == 0) {
+    // A plan that is not direct (e.g. nothing lowered) has nothing the
+    // jit runs: it refuses it and the tier chain serves it on host-simd,
+    // checked above. A direct plan's jit takes the staged states in and
+    // must give exactly the states the interpreter stored out.
+    if (!hs->direct_state_base().has_value()) {
       EXPECT_THROW((void)sim::lower_jit(hs), SimError) << name;
     } else {
-      check("jit " + name, *sim::lower_jit(hs));
+      auto states = test::unstaged_states(state_data.data(), 1);
+      sim::lower_jit(hs)->permute(states);
+      EXPECT_EQ(states, test::unstaged_states(
+                            want_mem.data() + opts.verify_base, 1))
+          << "jit " << name;
     }
   }
   return kernels;

@@ -158,9 +158,11 @@ int main(int argc, char** argv) {
         }
       }
     }
-    if (jit != nullptr) {
-      jit->execute(proc.vector(), proc.dmem(), proc.config().cycle_model);
-    } else if (hs != nullptr) {
+    if (hs != nullptr) {
+      // The run is read back as a whole machine, so both trace tiers
+      // execute the full plan: jit code only runs the direct path
+      // (caller states in, states out), and its machine state is by
+      // construction this plan's.
       hs->execute(proc.vector(), proc.dmem(), proc.config().cycle_model);
     } else {
       if (trace) {
