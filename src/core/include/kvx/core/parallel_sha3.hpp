@@ -120,9 +120,9 @@ class ParallelSha3 {
     return vk_.jit_code_bytes();
   }
 
-  /// Host ISA the jit code was emitted for (nullopt unless jit).
-  [[nodiscard]] std::optional<sim::HostSimdIsa> jit_isa() const noexcept {
-    return vk_.jit_isa();
+  /// What a dispatch on `tier` runs on the host (VectorKeccak::host_form).
+  [[nodiscard]] std::string_view host_form(sim::ExecBackend tier) const {
+    return vk_.host_form(tier);
   }
 
   /// Hash a batch of messages with a fixed-output function; every message

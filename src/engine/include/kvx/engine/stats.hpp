@@ -71,10 +71,10 @@ struct EngineStats {
   /// Backend that actually completed the most recent dispatch — equal to
   /// `backend` unless that dispatch demoted mid-chain (fail-soft retry).
   std::string effective_backend;
-  /// Host vector ISA the host-simd tier dispatches to after CPUID
-  /// detection ("scalar"/"portable"/"avx2"/"avx512") — for the jit tier,
-  /// the ISA the native code was emitted for; "" unless the effective
-  /// backend is host-simd or jit.
+  /// What the effective backend runs on the host: the ISA the host-simd
+  /// tier dispatches to ("scalar"/"portable"/"avx2"/"avx512") or the jit's
+  /// code was emitted for, or "avx512-plane" for the SN=1 plane kernels;
+  /// "" unless the effective backend is host-simd or jit.
   std::string host_simd_isa;
   /// Trace-record fraction the fusion matcher covers with super-kernels,
   /// read from the host-SIMD plan; 0 on the interpreter.

@@ -24,8 +24,9 @@ namespace kvx::obs {
 [[nodiscard]] const char* build_compiler() noexcept;
 
 /// Register/refresh kvx_build_info with the given dynamic labels and push
-/// the text block into post-mortem dumps. `host_simd_isa` is the tier-zero
-/// lowering ISA ("avx2", "avx512", "scalar", ...); `jit` is "on"/"off".
+/// the text block into post-mortem dumps. `host_simd_isa` is what the
+/// tier-zero lowering runs ("avx2", "avx512", "avx512-plane", "scalar",
+/// ...); `jit` is "on"/"off".
 void publish_build_info(const std::string& host_simd_isa,
                         const std::string& jit);
 

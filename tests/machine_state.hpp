@@ -12,6 +12,8 @@
 
 #include "kvx/common/rng.hpp"
 #include "kvx/core/vector_keccak.hpp"
+#include "kvx/obs/metrics.hpp"
+#include "kvx/sim/host_simd.hpp"
 
 namespace kvx::test {
 
@@ -68,13 +70,18 @@ inline void expect_same_machine(const core::VectorKeccak& got,
 /// with a full batch and with one state fewer than SN: two back-to-back
 /// dispatches of different inputs must leave exactly the machine of an
 /// interpreter that ran only the second, and a third dispatch after that
-/// read must leave the machine of the third.
-inline void expect_tier_at_interpreter_state(core::VectorKeccakConfig cfg,
-                                             sim::ExecBackend tier,
-                                             const std::string& what) {
+/// read must leave the machine of the third. With `plane_counter` named,
+/// each of the three dispatches must advance that counter by one when it
+/// runs the plane kernels (sim::host_simd_plane_form at the dispatch ISA),
+/// and not at all otherwise.
+inline void expect_tier_at_interpreter_state(
+    core::VectorKeccakConfig cfg, sim::ExecBackend tier,
+    const std::string& what, const char* plane_counter = nullptr) {
   core::VectorKeccakConfig icfg = cfg;
   icfg.backend = sim::ExecBackend::kInterpreter;
   const usize sn = cfg.sn();
+  const bool plane = sim::host_simd_plane_form(
+      sim::host_simd_dispatch_isa(cfg.sn()), cfg.sn());
   for (const usize n : {sn, sn - 1}) {
     SCOPED_TRACE(what + " with " + std::to_string(n) + " of SN=" +
                  std::to_string(sn) + " states");
@@ -83,6 +90,11 @@ inline void expect_tier_at_interpreter_state(core::VectorKeccakConfig cfg,
     core::VectorKeccak interp(icfg);
     const auto first = seeded_states(n, 0xA5 + sn);
     const auto second = seeded_states(n, 0x5A + sn);
+    obs::Counter* planes =
+        plane_counter != nullptr
+            ? &obs::MetricsRegistry::global().counter(plane_counter)
+            : nullptr;
+    const u64 planes0 = planes != nullptr ? planes->value() : 0;
 
     auto got = first;
     vk.permute(got);
@@ -100,6 +112,9 @@ inline void expect_tier_at_interpreter_state(core::VectorKeccakConfig cfg,
     interp.permute(want);
     EXPECT_EQ(got, want);
     expect_same_machine(vk, interp, "dispatch after a read");
+    if (planes != nullptr) {
+      EXPECT_EQ(planes->value() - planes0, plane ? 3u : 0u) << plane_counter;
+    }
   }
 }
 
