@@ -177,8 +177,7 @@ TEST_P(FusionDifferential, RandomizedRegisterFileSeedReplay) {
     sim::host_simd_force_isa(isa);
     const std::string name(sim::host_simd_isa_name(isa));
     check("host-simd/" + name, *hs);
-    if (sim::jit_supported() &&
-        (isa == HostSimdIsa::kAvx2 || isa == HostSimdIsa::kAvx512)) {
+    if (sim::jit_supported() && sim::jit_emits(isa, sn())) {
       // The jit runs the direct path only: the staged states in, exactly
       // the states the interpreter stored out.
       auto states = test::unstaged_states(state_data.data(), sn());
@@ -704,10 +703,7 @@ usize expect_every_tier_matches_interpreter(const std::string& source) {
     const auto hs = sim::lower_host_simd(fused);
     kernels = hs->lowered_kernel_count();
     check("host-simd " + name, *hs);
-    if (!sim::jit_supported() ||
-        (isa != HostSimdIsa::kAvx2 && isa != HostSimdIsa::kAvx512)) {
-      continue;
-    }
+    if (!sim::jit_supported() || !sim::jit_emits(isa, hs->sn())) continue;
     // A plan that is not direct (e.g. nothing lowered) has nothing the
     // jit runs: it refuses it and the tier chain serves it on host-simd,
     // checked above. A direct plan's jit takes the staged states in and
